@@ -289,8 +289,9 @@ namespace {
 //
 // The setup sequence, per-event operation order, and every Rng draw site
 // are kept identical to the historical shared_ptr implementation, so
-// results are bit-identical with pre-slab builds (locked in by
-// tests/test_resilience.cpp's golden aggregates).  The overload layer
+// results are bit-identical with pre-slab builds (locked in since by the
+// GoldenDigest pins in tests/test_resilience.cpp and
+// tests/test_grayfail.cpp).  The overload layer
 // preserves that contract: admission sheds before any per-query state is
 // touched, and every breaker draw comes from a dedicated Rng stream, so
 // configs with the new policies disabled stay bit-identical too.

@@ -21,6 +21,7 @@
 #include "reliab/gray.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "golden_digest.hpp"
 
 namespace arch21 {
 namespace {
@@ -579,6 +580,24 @@ TEST(ClusterGray, MergeSumsGrayTelemetry) {
   EXPECT_EQ(a.gray_redirected_sends, 75u);
   // Trial-weighted average: (10 x 1 + 20 x 3) / 4.
   EXPECT_DOUBLE_EQ(a.adaptive_deadline_ms, 17.5);
+}
+
+// ---------------------------------------------------------- golden pins
+
+// The serial full stack plus gray injection (trace and burst) and gray
+// detection, pinned to the digest recorded before the client-policy core
+// was shared across engines (tests/golden_digest.hpp).  The detector's
+// 100 ms eval cadence lands exactly on the crash-burst and gray-burst
+// edges, so the pin also locks the engine's setup scheduling order.
+TEST(GoldenDigest, SerialFullStackWithGrayDetection) {
+  const auto r = cloud::simulate_cluster(golden::full_stack_gray_config());
+  EXPECT_GT(r.gray_episodes, 0u);
+  EXPECT_GT(r.gray_dropped_replies, 0u);
+  EXPECT_GT(r.gray_evictions, 0u);
+  EXPECT_GT(r.gray_redirected_sends, 0u);
+  EXPECT_GT(r.adaptive_deadline_ms, 0.0);
+  EXPECT_GT(r.breaker_open_transitions, 0u);
+  EXPECT_EQ(golden::digest(r), 0x942fb0673fef0c82ULL);
 }
 
 }  // namespace

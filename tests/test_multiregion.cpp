@@ -18,6 +18,7 @@
 #include "cloud/wan.hpp"
 #include "des/simulator.hpp"
 #include "util/thread_pool.hpp"
+#include "golden_digest.hpp"
 
 namespace arch21::cloud {
 namespace {
@@ -764,6 +765,43 @@ TEST(MultiRegion, HysteresisMeasuresAroundBlackout) {
   const auto none = multiregion_hysteresis(r, quiet, false, 1.0);
   EXPECT_DOUBLE_EQ(none.pre_qps, 0.0);
   EXPECT_DOUBLE_EQ(none.recovery_ratio(), 0.0);
+}
+
+// ----------------------------------------------------------- golden pin
+
+// The E31 "caps + hysteresis + breakers" rung through a blackout: token-
+// bucket region caps, the retry budget and per-region breakers all
+// engage.  Pinned to the digest recorded before the breaker and bucket
+// code was shared with the cluster engines (tests/golden_digest.hpp).
+TEST(GoldenDigest, CapsBreakersBudgetBlackoutRung) {
+  MultiRegionConfig cfg = small_config();
+  cfg.traffic.session_rate_hz = 120;
+  cfg.blackout_region = 0;
+  cfg.blackout_start_s = 2;
+  cfg.blackout_duration_s = 3;
+  auto& fo = cfg.failover;
+  fo.healthy_after = 3;
+  fo.admission_cap_frac = 0.35;
+  fo.admission_burst = 16;
+  fo.budget_enabled = true;
+  fo.budget_ratio = 0.05;
+  fo.budget_burst = 10;
+  fo.breaker.enabled = true;
+  fo.breaker.min_samples = 8;
+  fo.breaker.open_ms = 150;
+  for (RegionConfig& r : cfg.regions) {
+    r.queue.capacity = 16;
+    r.queue.discipline = des::QueueDiscipline::kDeadline;
+    r.queue.sojourn_target = 40;
+  }
+  const auto r = simulate_multiregion(cfg);
+  std::uint64_t capped = 0;
+  for (const RegionStats& s : r.regions) capped += s.capped;
+  EXPECT_GT(capped, 0u);
+  EXPECT_GT(r.budget_denials, 0u);
+  EXPECT_GT(r.breaker_open_transitions, 0u);
+  EXPECT_GT(r.breaker_short_circuits, 0u);
+  EXPECT_EQ(golden::digest(r), 0xf9f20793bc18c855ULL);
 }
 
 }  // namespace

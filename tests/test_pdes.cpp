@@ -27,6 +27,7 @@
 #include "des/simulator.hpp"
 #include "des/workload.hpp"
 #include "util/thread_pool.hpp"
+#include "golden_digest.hpp"
 
 namespace {
 
@@ -345,6 +346,24 @@ TEST(ClusterPdes, ConfigValidationRejections) {
   with_workers.workers = 2;
   EXPECT_THROW(cloud::run_cluster_trials(with_workers, 2),
                std::invalid_argument);
+}
+
+// The stacked PDES scenario plus gray detection, pinned to the digest
+// recorded before the client-policy core was shared across engines
+// (tests/golden_digest.hpp), at every engine: the serial loopback
+// reference and the parallel engine at 1 and 4 workers.
+TEST(GoldenDigest, StackedPdesWithGrayDetection) {
+  cloud::ClusterConfig cfg = stacked_pdes_config(kSeeds[0]);
+  cfg.policy.gray.enabled = true;
+  cfg.policy.gray.eval_interval_ms = 100;
+  for (const unsigned workers : {1u, 4u}) {
+    cfg.workers = workers;
+    const cloud::ClusterResult r = cloud::simulate_cluster_pdes(cfg);
+    EXPECT_GT(r.breaker_open_transitions, 0u) << "workers=" << workers;
+    EXPECT_GT(r.hedges, 0u) << "workers=" << workers;
+    EXPECT_EQ(golden::digest(r), 0x59f227ba6e5252e7ULL)
+        << "workers=" << workers;
+  }
 }
 
 }  // namespace

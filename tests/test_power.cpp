@@ -25,6 +25,7 @@
 #include "energy/ladder.hpp"
 #include "tech/dvfs.hpp"
 #include "util/thread_pool.hpp"
+#include "golden_digest.hpp"
 
 namespace {
 
@@ -608,6 +609,36 @@ TEST(GovernCapped, InfeasibleCapIsReportedNotSwallowed) {
   const auto capped = core::govern_capped(mix, dvfs, dvfs.power(0.5) * 0.5);
   EXPECT_FALSE(capped.feasible);
   EXPECT_DOUBLE_EQ(capped.cap_v, 0.5);  // pinned to the floor, flagged
+}
+
+// --- golden pin --------------------------------------------------------------
+
+// The E33 governor rung (cap-aware shedding admission over the naive
+// unbudgeted-retry client) after a crash burst, pinned to the digest
+// recorded before the client-policy core was shared across engines
+// (tests/golden_digest.hpp).  Window edges fall on the burst edges.
+TEST(GoldenDigest, GovernorRung) {
+  cloud::ClusterConfig base;
+  base.leaves = 12;
+  base.query_rate_hz = 120;
+  base.leaf_service_ms = 3.0;
+  base.background_rate_hz = 30;
+  base.background_ms = 2.0;
+  base.duration_s = 6;
+  base.seed = 2014;
+  base.goodput_window_s = 0.5;
+  base.faults.burst_leaves = 7;
+  base.faults.burst_start_s = 2;
+  base.faults.burst_duration_s = 1;
+  cloud::PowerLadderPolicies knobs;
+  knobs.overload.timeout_ms = 25;
+  knobs.overload.sojourn_target_ms = 25;
+  const auto r = cloud::simulate_cluster(cloud::power_rung_config(
+      base, knobs, 0.6, cloud::PowercapPolicy::kGovernor));
+  EXPECT_GT(r.power_shed_queries, 0u);
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_EQ(r.power_overruns, 0u);
+  EXPECT_EQ(golden::digest(r), 0xda5c6a8fa4676e99ULL);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "cloud/cluster.hpp"
 #include "cloud/policy.hpp"
 #include "cloud/resilience.hpp"
+#include "golden_digest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reliab/failure_trace.hpp"
@@ -443,6 +445,66 @@ TEST(ClusterTrials, AggregatesAndValidates) {
   EXPECT_GT(agg.queries, 0u);
   EXPECT_THROW(cloud::run_cluster_trials(cfg, 0), std::invalid_argument);
 }
+
+// ---------------------------------------------------------- golden pins
+
+// Every fail-stop fault and client-policy feature of the serial engine at
+// once, pinned to the digest recorded before the client-policy core was
+// shared across engines (tests/golden_digest.hpp).  Never re-record it
+// to make a refactor pass.
+TEST(GoldenDigest, SerialFullStack) {
+  const auto r = cloud::simulate_cluster(golden::full_stack_config());
+  // Every layer the pin claims to cover actually engaged.
+  EXPECT_GT(r.domain_failures, 0u);
+  EXPECT_GT(r.lost_requests, 0u);
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_GT(r.budget_denials, 0u);
+  EXPECT_GT(r.hedges, 0u);
+  EXPECT_GT(r.degraded_queries, 0u);
+  EXPECT_GT(r.shed_queries, 0u);
+  EXPECT_GT(r.breaker_open_transitions, 0u);
+  EXPECT_GT(r.breaker_short_circuits, 0u);
+  EXPECT_GT(r.rejected_requests + r.expired_drops, 0u);
+  EXPECT_EQ(golden::digest(r), 0x5a9bccb158d1b654ULL);
+}
+
+#if ARCH21_OBS_ENABLED
+// The same run with a trace ring attached and the metrics registry on:
+// results keep the untraced pin, and the published cluster.* / des.* /
+// slab.* metrics and the trace record count are pinned too, so moving
+// the client's observability hooks cannot silently drop or duplicate one.
+TEST(GoldenDigest, SerialFullStackTracedAndMetered) {
+  auto& m = obs::MetricsRegistry::global();
+  m.reset();
+  m.set_enabled(true);
+  obs::TraceBuffer trace(std::size_t{1} << 20, 1e3);
+  auto cfg = golden::full_stack_config();
+  cfg.trace = &trace;
+  const auto r = cloud::simulate_cluster(cfg);
+  m.set_enabled(false);
+  EXPECT_EQ(golden::digest(r), 0x5a9bccb158d1b654ULL);
+
+  // Registration order depends on which tests ran first; sort by name.
+  auto entries = m.snapshot().entries;
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+  golden::Digest g;
+  for (const auto& e : entries) {
+    if (e.name.rfind("cluster.", 0) != 0 && e.name.rfind("des.", 0) != 0 &&
+        e.name.rfind("slab.", 0) != 0) {
+      continue;
+    }
+    if (e.count == 0 && e.value == 0) continue;  // registered by another test
+    for (const char c : e.name) g.u(static_cast<unsigned char>(c));
+    g.u(e.count).d(e.value);
+    if (e.hist.count() > 0) g.hist(e.hist);
+  }
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_EQ(trace.size(), 38162u);
+  EXPECT_EQ(g.value(), 0xe7f300da121d3b3eULL);
+  m.reset();
+}
+#endif  // ARCH21_OBS_ENABLED
 
 }  // namespace
 }  // namespace arch21
