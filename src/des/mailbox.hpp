@@ -45,11 +45,12 @@ struct Message {
 /// window's commit batch is sorted by this before scheduling, so the
 /// delivery order of simultaneous arrivals is a pure function of the
 /// messages themselves -- never of worker count, thread timing, or
-/// drain/append order.  The key mirrors the serial loopback engine's
-/// global scheduling order wherever timestamps are distinct: earlier
-/// arrival first, then earlier send (the earlier send got the smaller
-/// global seq), then a fixed (src, seq) tie-break for the measure-zero
-/// case of two sources sending at the bit-identical instant.
+/// drain/append order.  Two sources sending at the bit-identical instant
+/// are common, not rare: with a constant link latency, leaf groups that
+/// finish work at the same time answer the root at the same time.  The
+/// (src, seq) tie-break decides them, and the serial loopback engine
+/// delivers through a per-destination heap in this same order (see
+/// LoopbackEngine::Lp::send) so it stays bit-identical.
 struct MessageEarlier {
   bool operator()(const Message& a, const Message& b) const noexcept {
     if (a.t != b.t) return a.t < b.t;

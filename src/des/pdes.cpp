@@ -9,6 +9,17 @@
 
 namespace arch21::des {
 
+namespace {
+
+/// Heap comparator that keeps the MessageEarlier-first message on top.
+struct MessageLater {
+  bool operator()(const Message& a, const Message& b) const noexcept {
+    return MessageEarlier{}(b, a);
+  }
+};
+
+}  // namespace
+
 // ------------------------------------------------------- ParallelEngine
 
 ParallelEngine::ParallelEngine(const PartitionSpec& spec, ThreadPool& pool)
@@ -142,7 +153,24 @@ void LoopbackEngine::Lp::send(std::uint32_t dst, Time delay,
         "Lp::send: cross-LP delay below the engine lookahead");
   }
   Lp* to = engine_->lps_[dst].get();
-  engine_->sim_.schedule(delay, [to, p] { to->handler_(*to, p); });
+  if (dst == id_) {
+    engine_->sim_.schedule(delay, [to, p] { to->handler_(*to, p); });
+    return;
+  }
+  const Time now = engine_->sim_.now();
+  to->inbox_.push_back(Message{now + delay, now, id_, send_seq_++, p});
+  std::push_heap(to->inbox_.begin(), to->inbox_.end(), MessageLater{});
+  engine_->sim_.schedule(delay, [to] { to->deliver_next(); });
+}
+
+void LoopbackEngine::Lp::deliver_next() {
+  // Every message due by now is already in the inbox (a remote send is
+  // at least one lookahead ahead of its delivery), and the events for
+  // earlier instants each took one message, so the head is due now.
+  std::pop_heap(inbox_.begin(), inbox_.end(), MessageLater{});
+  const Payload p = inbox_.back().payload;
+  inbox_.pop_back();
+  handler_(*this, p);
 }
 
 }  // namespace arch21::des

@@ -30,7 +30,9 @@
 //
 // LoopbackEngine is that serial reference: the identical scenario-facing
 // surface (lps / lp(i) / send / handler / run) backed by ONE unchanged
-// des::Simulator, with send() lowered to a plain schedule().  Scenarios
+// des::Simulator, with send() lowered to a plain schedule() plus a
+// per-destination inbox that hands same-instant messages over in the
+// canonical order.  Scenarios
 // are written once, templated over the engine, and replayed through
 // both -- the ReferenceSimulator pattern from the ladder-queue PR lifted
 // one level up.
@@ -118,14 +120,22 @@ class LoopbackEngine {
     void set_handler(Handler h) { handler_ = std::move(h); }
     /// Same validation as the parallel engine's send (so a scenario that
     /// runs here also runs there), lowered to one schedule() on the
-    /// shared kernel.
+    /// shared kernel.  A remote message waits in the destination's inbox
+    /// and each delivery event hands over the inbox head, so messages
+    /// due at the same instant arrive in the parallel engine's canonical
+    /// MessageEarlier order, not in global send order.
     void send(std::uint32_t dst, Time delay, const Payload& p);
 
    private:
     friend class LoopbackEngine;
+    /// Pop the inbox head and run the handler on it.
+    void deliver_next();
+
     LoopbackEngine* engine_ = nullptr;
     std::uint32_t id_ = 0;
+    std::uint64_t send_seq_ = 0;  // per-source seq, as on the parallel LP
     Handler handler_;
+    std::vector<Message> inbox_;  // min-heap in MessageEarlier order
   };
 
   explicit LoopbackEngine(const PartitionSpec& spec);

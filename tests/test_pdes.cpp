@@ -318,6 +318,38 @@ TEST(ClusterPdes, BitIdenticalWithFullPolicyAndFaultStack) {
   }
 }
 
+// Constant net latency makes two leaf groups answer the root at the
+// bit-identical instant all the time.  After a breaker redirect the
+// global send order is no longer group order, so the loopback engine
+// must deliver same-instant messages in the parallel engine's canonical
+// (t, sent_at, src, seq) order, or the rejects trip breakers in a
+// different order and the breaker stream's cooldown draws diverge.
+TEST(ClusterPdes, SameInstantRepliesKeepLoopbackIdentical) {
+  cloud::ClusterConfig cfg;
+  cfg.leaves = 32;
+  cfg.leaf_groups = 4;
+  cfg.query_rate_hz = 200;
+  cfg.leaf_service_ms = 3.0;
+  cfg.background_ms = 2.0;
+  cfg.duration_s = 1;
+  cfg.seed = 2014;
+  cfg.net_latency_ms = 1.0;
+  cfg.policy.retry.timeout_ms = 25;
+  cfg.policy.retry.max_retries = 2;
+  cfg.leaf_queue.capacity = 4;
+  cfg.leaf_queue.discipline = des::QueueDiscipline::kDeadline;
+  cfg.leaf_queue.sojourn_target = 25;
+  cfg.policy.breaker.enabled = true;
+  const cloud::ClusterResult want = cloud::simulate_cluster_pdes(cfg);
+  EXPECT_GT(want.breaker_open_transitions, 0u);
+  EXPECT_GT(want.rejected_requests, 0u);
+  for (const unsigned workers : {1u, 4u}) {
+    cfg.workers = workers;
+    expect_same_result(cloud::simulate_cluster_pdes(cfg), want,
+                       "same-instant replies");
+  }
+}
+
 TEST(ClusterPdes, SimulateClusterDispatchesOnNetLatency) {
   const cloud::ClusterConfig cfg = small_pdes_config(kSeeds[1]);
   expect_same_result(cloud::simulate_cluster(cfg),
@@ -356,7 +388,7 @@ TEST(GoldenDigest, StackedPdesWithGrayDetection) {
   cloud::ClusterConfig cfg = stacked_pdes_config(kSeeds[0]);
   cfg.policy.gray.enabled = true;
   cfg.policy.gray.eval_interval_ms = 100;
-  for (const unsigned workers : {1u, 4u}) {
+  for (const unsigned workers : {0u, 1u, 4u}) {
     cfg.workers = workers;
     const cloud::ClusterResult r = cloud::simulate_cluster_pdes(cfg);
     EXPECT_GT(r.breaker_open_transitions, 0u) << "workers=" << workers;
