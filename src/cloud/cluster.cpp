@@ -7,12 +7,11 @@
 #include <string>
 #include <vector>
 
-#include "cloud/gray_detect.hpp"
+#include "cloud/client.hpp"
 #include "des/resource.hpp"
 #include "des/simulator.hpp"
 #include "reliab/failure_trace.hpp"
 #include "reliab/gray.hpp"
-#include "util/slab.hpp"
 
 #if ARCH21_OBS_ENABLED
 #include "obs/metrics.hpp"
@@ -133,9 +132,6 @@ void ClusterConfig::validate() const {
     bad("ClusterConfig", "background_ms must be > 0");
   }
   if (!(duration_s > 0)) bad("ClusterConfig", "duration_s must be > 0");
-  if (!(hedge_after_ms >= 0)) {
-    bad("ClusterConfig", "hedge_after_ms must be >= 0");
-  }
   leaf_queue.validate();
   if (!(goodput_window_s >= 0)) {
     bad("ClusterConfig", "goodput_window_s must be >= 0");
@@ -278,128 +274,32 @@ void ClusterResult::merge(const ClusterResult& other) {
 
 namespace {
 
-// One cluster trial.  Per-query / per-call state lives in slab arenas
-// indexed by 32-bit handles (util/slab.hpp) instead of a
-// shared_ptr<QueryState>/shared_ptr<LeafCall> web, and the
-// attempt/hedge/retry/timeout flow is plain member functions instead of a
-// recursive std::function, so after the slabs and the event tiers reach
-// their high-water marks a trial performs no heap allocation at all.
-// Event closures capture `this` plus 16-byte RAII handle guards, which
-// keeps every action inside the Simulator's inline buffer.
+// One trial of the serial zero-latency cluster.  The client policy is the
+// shared ClusterClient core (cloud/client.hpp); this engine owns only its
+// transport and its server side: a send is a direct Resource::request,
+// loss is decided at send time from the leaf's up state, a bounded-queue
+// bounce is a synchronous reject, the powercap governor pre-admits
+// queries, and gray injection acts on the leaves and their replies.
 //
 // The setup sequence, per-event operation order, and every Rng draw site
 // are kept identical to the historical shared_ptr implementation, so
 // results are bit-identical with pre-slab builds (locked in since by the
 // GoldenDigest pins in tests/test_resilience.cpp and
-// tests/test_grayfail.cpp).  The overload layer
-// preserves that contract: admission sheds before any per-query state is
-// touched, and every breaker draw comes from a dedicated Rng stream, so
-// configs with the new policies disabled stay bit-identical too.
-class ClusterSim {
+// tests/test_grayfail.cpp).  The overload layer preserves that contract:
+// admission sheds before any per-query state is touched, and every
+// breaker draw comes from a dedicated Rng stream, so configs with the new
+// policies disabled stay bit-identical too.
+class ClusterSim : public ClusterClient<ClusterSim> {
+  using Client = ClusterClient<ClusterSim>;
+  friend Client;
+
  public:
-  explicit ClusterSim(const ClusterConfig& cfg) : cfg_(cfg), pol_(cfg.policy) {
-    // Effective policy: the legacy hedge knob feeds the unified engine.
-    if (pol_.hedge_after_ms == 0 && cfg.hedge_after_ms > 0) {
-      pol_.hedge_after_ms = cfg.hedge_after_ms;
-    }
-  }
+  explicit ClusterSim(const ClusterConfig& cfg) : Client(cfg) {}
 
   ClusterResult run();
 
  private:
-  static constexpr std::uint32_t kNull = Slab<int>::kNull;
-
-  struct QueryRec {
-    unsigned replied = 0;
-    double start_ms = 0;
-    bool closed = false;
-    des::EventHandle deadline{};
-#if ARCH21_OBS_ENABLED
-    /// Monotone per-trial serial keying the query's async trace span
-    /// (slab handles recycle, so they cannot key overlapping spans).
-    std::uint64_t trace_serial = 0;
-#endif
-  };
-  struct CallRec {
-    bool done = false;
-    unsigned attempts = 0;  // non-hedge issues so far
-    bool hedged = false;
-    des::EventHandle timeout{};
-    des::EventHandle hedge{};
-    /// Counted reference to the owning query, dropped by release_call()
-    /// when the call record itself dies.
-    std::uint32_t query = kNull;
-  };
-
-  /// Per-replica circuit breaker state.  The rolling outcome window is a
-  /// bit set in a single word (CircuitBreakerPolicy caps window at 64),
-  /// so recording an outcome is a handful of ALU ops and the whole
-  /// breaker array stays cache-resident.
-  struct Breaker {
-    enum State : std::uint8_t { kClosed, kOpen, kHalfOpen };
-    State state = kClosed;
-    std::uint64_t bits = 0;       // rolling outcomes, 1 = failure
-    std::uint32_t filled = 0;     // outcomes currently in the window
-    std::uint32_t idx = 0;        // next write position
-    std::uint32_t fails = 0;      // failures currently in the window
-    std::uint32_t probes_left = 0;
-    double opened_at = 0;
-    double open_until = 0;
-  };
-
-  /// Tag: take ownership of the reference acquire() created instead of
-  /// adding a new one.
-  struct Adopt {};
-
-  /// RAII counted reference to a QueryRec slot: retains on construction
-  /// and copy, releases on destruction, so a closure capturing one keeps
-  /// the record alive exactly as long as a captured shared_ptr would.
-  /// 16 bytes (pointer + handle), the point of the exercise.
-  struct QueryRef {
-    ClusterSim* s = nullptr;
-    std::uint32_t h = kNull;
-    QueryRef(ClusterSim* sim, std::uint32_t handle) : s(sim), h(handle) {
-      s->queries_.retain(h);
-    }
-    QueryRef(Adopt, ClusterSim* sim, std::uint32_t handle) noexcept
-        : s(sim), h(handle) {}
-    QueryRef(const QueryRef& o) : s(o.s), h(o.h) {
-      if (s) s->queries_.retain(h);
-    }
-    QueryRef(QueryRef&& o) noexcept : s(o.s), h(o.h) { o.s = nullptr; }
-    QueryRef& operator=(const QueryRef&) = delete;
-    QueryRef& operator=(QueryRef&&) = delete;
-    ~QueryRef() {
-      if (s) s->queries_.release(h);
-    }
-    QueryRec* operator->() const noexcept { return &s->queries_[h]; }
-  };
-
-  /// RAII counted reference to a CallRec slot (see QueryRef).
-  struct CallRef {
-    ClusterSim* s = nullptr;
-    std::uint32_t h = kNull;
-    CallRef(Adopt, ClusterSim* sim, std::uint32_t handle) noexcept
-        : s(sim), h(handle) {}
-    CallRef(const CallRef& o) : s(o.s), h(o.h) {
-      if (s) s->calls_.retain(h);
-    }
-    CallRef(CallRef&& o) noexcept : s(o.s), h(o.h) { o.s = nullptr; }
-    CallRef& operator=(const CallRef&) = delete;
-    CallRef& operator=(CallRef&&) = delete;
-    ~CallRef() {
-      if (s) s->release_call(h);
-    }
-    CallRec* operator->() const noexcept { return &s->calls_[h]; }
-  };
-
-  /// Drop one reference to a call record; when it was the last, also drop
-  /// the record's reference to its query (read out *before* release()
-  /// resets the slot -- the cross-slab pattern slab.hpp documents).
-  void release_call(std::uint32_t h) {
-    const std::uint32_t q = calls_[h].query;
-    if (calls_.release(h) && q != kNull) queries_.release(q);
-  }
+  des::Simulator& client_sim() noexcept { return sim_; }
 
   void set_effective(unsigned l, bool up) {
     if (leaf_up_[l] && !up) {
@@ -454,266 +354,34 @@ class ClusterSim {
     }
   }
 
-  /// Admission decision for one arriving query: concurrency cap first
-  /// (a full root burns no rate tokens), then the token bucket.  Only
-  /// called while admission is enabled; an admitted query holds an
-  /// in-flight slot until it closes.
-  bool admit() {
-    const AdmissionPolicy& a = pol_.admission;
-    if (a.max_in_flight > 0 && in_flight_ >= a.max_in_flight) return false;
-    if (a.rate_qps > 0) {
-      const double now = sim_.now();
-      adm_tokens_ = std::min(
-          a.burst, adm_tokens_ + (now - adm_last_ms_) * a.rate_qps / 1000.0);
-      adm_last_ms_ = now;
-      if (adm_tokens_ < 1.0) return false;
-      adm_tokens_ -= 1.0;
-    }
-    ++in_flight_;
-    return true;
-  }
-
-  /// Close the query's root-side bookkeeping (callers set q->closed).
-  void free_in_flight() {
-    if (in_flight_ > 0) --in_flight_;
-  }
-
-  /// Count an answered (ok or degraded) query into its goodput window.
-  void note_answered() {
-    if (window_ms_ <= 0) return;
-    const auto idx = static_cast<std::size_t>(sim_.now() / window_ms_);
-    if (idx >= res_.answered_per_window.size()) {
-      res_.answered_per_window.resize(idx + 1, 0);
-    }
-    ++res_.answered_per_window[idx];
-  }
-
-  /// Trip a breaker open with a jittered cooldown.
-  void breaker_open(Breaker& b) {
-    b.state = Breaker::kOpen;
-    b.opened_at = sim_.now();
-    b.open_until =
-        sim_.now() +
-        pol_.breaker.open_ms *
-            (1.0 + pol_.breaker.open_jitter_frac * brng_.uniform(-1.0, 1.0));
-    ++res_.breaker_open_transitions;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_brk_open_, sim_.now(), 0);
-#endif
-  }
-
-  /// May this send go to replica `l`?  Consumes a half-open probe slot
-  /// when it grants one, and performs the lazy open -> half-open
-  /// transition once the cooldown has elapsed (the breaker needs no
-  /// scheduled events of its own).
-  bool breaker_allows(unsigned l) {
-    Breaker& b = breakers_[l];
-    if (b.state == Breaker::kClosed) return true;
-    if (b.state == Breaker::kOpen) {
-      if (sim_.now() < b.open_until) return false;
-      res_.breaker_open_ms += b.open_until - b.opened_at;
-      b.state = Breaker::kHalfOpen;
-      b.probes_left = pol_.breaker.half_open_probes;
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_brk_half_, sim_.now(), 0);
-#endif
-    }
-    if (b.probes_left == 0) return false;
-    --b.probes_left;
-    ++res_.breaker_probes;
-    return true;
-  }
-
-  /// Record an observed outcome against replica `l`: a reply is a
-  /// success; a timeout or synchronous queue rejection is a failure.
-  /// While half-open, any failure re-opens -- including a straggling
-  /// timeout from before the trip, which is deliberately conservative
-  /// (the replica is still hurting us).  While open, outcomes are
-  /// ignored; the cooldown timer alone decides re-entry.
-  void breaker_record(unsigned l, bool ok) {
-    if (!pol_.breaker.enabled) return;
-    Breaker& b = breakers_[l];
-    switch (b.state) {
-      case Breaker::kOpen:
-        return;
-      case Breaker::kHalfOpen:
-        if (ok) {
-          b = Breaker{};  // close with a fresh window
-#if ARCH21_OBS_ENABLED
-          if (trace_) trace_->instant(tr_brk_close_, sim_.now(), 0);
-#endif
-        } else {
-          breaker_open(b);
-        }
-        return;
-      case Breaker::kClosed: {
-        const CircuitBreakerPolicy& p = pol_.breaker;
-        const std::uint64_t bit = std::uint64_t{1} << b.idx;
-        if (b.filled == p.window) {
-          if (b.bits & bit) --b.fails;
-        } else {
-          ++b.filled;
-        }
-        if (ok) {
-          b.bits &= ~bit;
-        } else {
-          b.bits |= bit;
-          ++b.fails;
-        }
-        b.idx = (b.idx + 1) % p.window;
-        if (b.filled >= p.min_samples &&
-            static_cast<double>(b.fails) >=
-                p.failure_threshold * static_cast<double>(b.filled)) {
-          breaker_open(b);
-        }
-        return;
-      }
-    }
-  }
-
-  /// A query's start event: admission first (a shed query touches no
-  /// per-query state and issues nothing -- its pre-drawn service times
-  /// are simply never used, which keeps workload draws aligned across
-  /// protected/unprotected configs); then create the record, arm the
-  /// quorum deadline, and issue the first attempt on every leaf.
-  void on_query_start(std::size_t services_base) {
-    // The power cap is the primary constraint: the governor's cap-aware
-    // admission sheds BEFORE the resilience-policy admission (and long
-    // before any leaf would throttle) -- a power-shed query touches no
-    // per-query state, exactly like a policy shed.
+  /// The power cap is the primary constraint: the governor's cap-aware
+  /// admission sheds BEFORE the resilience-policy admission (and long
+  /// before any leaf would throttle) -- a power-shed query touches no
+  /// per-query state, exactly like a policy shed.
+  bool engine_admits() {
     if (pcap_ && !pcap_->admit(sim_.now())) {
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_pshed_, sim_.now(), 0);
-#endif
-      return;
+      mark(tr_pshed_);
+      return false;
     }
-    if (pol_.admission.enabled && !admit()) {
-      ++res_.shed_queries;
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_shed_, sim_.now(), 0);
-#endif
-      return;
-    }
-    QueryRef q(Adopt{}, this, queries_.acquire());
-    q->start_ms = sim_.now();
-    ++started_;
-#if ARCH21_OBS_ENABLED
-    if (trace_) {
-      q->trace_serial = started_;
-      trace_->async_begin(tr_query_, q->trace_serial, sim_.now());
-    }
-#endif
-    if (pol_.quorum.enabled()) {
-      q->deadline = sim_.schedule_cancellable(
-          pol_.quorum.deadline_ms, [this, q] { on_deadline(q); });
-    }
-    for (unsigned l = 0; l < cfg_.leaves; ++l) {
-      const std::uint32_t ch = calls_.acquire();
-      queries_.retain(q.h);
-      calls_[ch].query = q.h;
-      CallRef call(Adopt{}, this, ch);
-      issue(q, call, services_[services_base + l], l, false);
-    }
+    return true;
   }
 
-  /// Issue one attempt (or hedge) of a leaf call against `target`.  An
-  /// open breaker short-circuits the send and redirects it (up to three
-  /// draws from the breaker stream) to a replica that admits traffic; if
-  /// none does, nothing is sent and the armed timeout recovers the call.
-  /// A send bounced off a full bounded leaf queue likewise falls back to
-  /// the timeout, and counts as a breaker failure observation (a
-  /// rejecting replica is an overloaded replica).
-  void issue(const QueryRef& q, const CallRef& call, double service,
-             unsigned target, bool is_hedge) {
-    if (call->done || q->closed) return;
-    ++res_.leaf_requests;
-    if (is_hedge) {
-      ++res_.hedges;
-    } else {
-      ++call->attempts;
-      if (pol_.budget.enabled && call->attempts == 1) {
-        budget_tokens_ =
-            std::min(budget_tokens_ + pol_.budget.ratio, pol_.budget.burst);
-      }
+  /// Send one attempt straight into the target's Resource.  A request to
+  /// a down leaf vanishes (only a timeout or the query deadline will tell
+  /// the client); a request bounced off a full bounded queue is rejected
+  /// synchronously.
+  void transmit(const QueryRef& q, const CallRef& call, double service,
+                unsigned t) {
+    if (!leaf_up_[t]) {
+      ++res_.lost_requests;
+      mark(tr_lost_);
+      return;
     }
-
-    unsigned t = target;
-    bool send = true;
-    if (gdet_.engaged() && gdet_.evicted(t)) {
-      // Down-weighted to zero: steer the send to a healthy peer chosen
-      // round-robin (deterministic -- no redirect storm, no RNG).  With
-      // no healthy peer left, nothing is sent and the armed timeout
-      // recovers the call.
-      ++res_.gray_redirected_sends;
-      const unsigned alt = gdet_.redirect_target(t);
-      if (alt == GrayDetector::kNone) {
-        send = false;
-      } else {
-        t = alt;
-      }
-    }
-    if (send && pol_.breaker.enabled && !breaker_allows(t)) {
-      ++res_.breaker_short_circuits;
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_brk_short_, sim_.now(), 0);
-#endif
-      send = false;
-      for (int k = 0; k < 3; ++k) {
-        const unsigned alt = static_cast<unsigned>(brng_.below(cfg_.leaves));
-        if (breaker_allows(alt)) {
-          t = alt;
-          send = true;
-          break;
-        }
-      }
-    }
-
-    if (send) {
-      if (gdet_.engaged()) gdet_.on_sent(t);
-      if (leaf_up_[t]) {
-        if (!leaves_[t]->request(service, [this, q, call, t](double, double) {
-              on_leaf_reply(q, call, t);
-            })) {
-          breaker_record(t, false);
-          // A bounce is a LOUD refusal, not a silent non-reply: the gray
-          // detector must not count it toward the reply-rate check, or
-          // redirect-concentrated load evicts the healthy majority.
-          if (gdet_.engaged()) gdet_.on_rejected(t);
-#if ARCH21_OBS_ENABLED
-          if (trace_) trace_->instant(tr_rejected_, sim_.now(), 0);
-#endif
-        }
-      } else {
-        // The request vanishes into a dead leaf; only a timeout (or the
-        // query deadline) will tell the client.
-        ++res_.lost_requests;
-#if ARCH21_OBS_ENABLED
-        if (trace_) trace_->instant(tr_lost_, sim_.now(), 0);
-#endif
-      }
-    }
-
-    if (!is_hedge && pol_.hedge_after_ms > 0 && !call->hedged &&
-        call->attempts == 1) {
-      auto hedge = [this, q, call, service] { on_hedge(q, call, service); };
-      static_assert(sizeof(hedge) <= des::Simulator::Action::capacity(),
-                    "hedge closure must fit the Action inline buffer");
-      call->hedge =
-          sim_.schedule_cancellable(pol_.hedge_after_ms, std::move(hedge));
-    }
-    if (!is_hedge && pol_.retry.timeout_ms > 0) {
-      // The adaptive deadline (when on) replaces the fixed per-attempt
-      // timeout with the detector's tracked p99-based value, clamped to
-      // [deadline_min_ms, the fixed timeout].
-      const double to = gdet_.engaged() && pol_.gray.adaptive_deadline
-                            ? gdet_.timeout_ms()
-                            : pol_.retry.timeout_ms;
-      auto timeout = [this, q, call, service, t] {
-        on_timeout(q, call, service, t);
-      };
-      static_assert(sizeof(timeout) <= des::Simulator::Action::capacity(),
-                    "timeout closure must fit the Action inline buffer");
-      call->timeout = sim_.schedule_cancellable(to, std::move(timeout));
+    if (!leaves_[t]->request(service, [this, q, call, t](double, double) {
+          on_leaf_reply(q, call, t);
+        })) {
+      note_reject(t);
+      mark(tr_rejected_);
     }
   }
 
@@ -758,142 +426,28 @@ class ClusterSim {
   }
 
   void on_leaf_done(const QueryRef& q, const CallRef& call, unsigned target) {
-    breaker_record(target, true);  // a reply is a success observation
-    // The detector observes every reply that reaches the client --
+    note_reply(target);
+    // The detector scores every reply that reaches the client --
     // including late and duplicate ones, which are exactly the fail-slow
     // signal the breaker window launders into successes.
     if (gdet_.engaged()) gdet_.on_reply(target, sim_.now() - q->start_ms);
     if (call->done) return;  // a faster attempt already answered
-    call->done = true;
-    sim_.cancel(call->timeout);
-    sim_.cancel(call->hedge);
-    const double lat = sim_.now() - q->start_ms;
-    res_.leaf_ms.add(lat);
-    if (q->closed) return;  // degraded/failed; reply arrived late
-    if (++q->replied == cfg_.leaves) {
-      q->closed = true;
-      free_in_flight();
-      sim_.cancel(q->deadline);
-      ++res_.ok_queries;
-      res_.sum_result_quality += 1.0;
-      res_.query_ms.add(lat);
-      note_answered();
-#if ARCH21_OBS_ENABLED
-      if (mreg_) mreg_->record(m_query_ms_, lat);
-      if (trace_) {
-        trace_->async_end(tr_query_, q->trace_serial, sim_.now(),
-                          tr_quality_arg_, 1.0);
-      }
-#endif
-    }
-  }
-
-  /// Quorum deadline: close the query with whatever has replied.
-  void on_deadline(const QueryRef& q) {
-    if (q->closed) return;
-    q->closed = true;
-    free_in_flight();
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_deadline_, sim_.now(), 0);
-#endif
-    if (q->replied >= quorum_needed_) {
-      ++res_.degraded_queries;
-      const double quality = static_cast<double>(q->replied) /
-                             static_cast<double>(cfg_.leaves);
-      res_.sum_result_quality += quality;
-      res_.query_ms.add(sim_.now() - q->start_ms);
-      note_answered();
-#if ARCH21_OBS_ENABLED
-      if (mreg_) mreg_->record(m_query_ms_, sim_.now() - q->start_ms);
-      if (trace_) {
-        trace_->async_end(tr_query_, q->trace_serial, sim_.now(),
-                          tr_quality_arg_, quality);
-      }
-#endif
-    } else {
-      ++res_.failed_queries;
-#if ARCH21_OBS_ENABLED
-      if (trace_) {
-        trace_->async_end(tr_query_, q->trace_serial, sim_.now(),
-                          tr_quality_arg_, 0.0);
-      }
-#endif
-    }
-  }
-
-  void on_hedge(const QueryRef& q, const CallRef& call, double service) {
-    if (call->done || q->closed) return;
-    call->hedged = true;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_hedge_, sim_.now(), 0);
-#endif
-    issue(q, call, service, static_cast<unsigned>(crng_.below(cfg_.leaves)),
-          true);
-  }
-
-  void on_timeout(const QueryRef& q, const CallRef& call, double service,
-                  unsigned target) {
-    // The attempt against `target` got no reply in time: a failure
-    // observation whether or not we still care about the query.
-    breaker_record(target, false);
-    if (call->done || q->closed) return;
-    ++res_.timeouts;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_timeout_, sim_.now(), 0);
-#endif
-    if (call->attempts > pol_.retry.max_retries) return;
-    if (pol_.budget.enabled) {
-      if (budget_tokens_ < 1.0) {
-        ++res_.budget_denials;
-#if ARCH21_OBS_ENABLED
-        if (trace_) trace_->instant(tr_denied_, sim_.now(), 0);
-#endif
-        return;
-      }
-      budget_tokens_ -= 1.0;
-    }
-    ++res_.retries;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_retry_, sim_.now(), 0);
-#endif
-    const double backoff = pol_.retry.backoff_ms(call->attempts - 1, crng_);
-    // Retry against a random replica, like the hedge path.
-    const unsigned alt = static_cast<unsigned>(crng_.below(cfg_.leaves));
-    auto retry = [this, q, call, service, alt] {
-      issue(q, call, service, alt, false);
-    };
-    static_assert(sizeof(retry) <= des::Simulator::Action::capacity(),
-                  "retry closure must fit the Action inline buffer");
-    sim_.schedule(backoff, std::move(retry));
+    call_answered(q, call);
   }
 
 #if ARCH21_OBS_ENABLED
   /// Wire the trace sink into every layer of this trial: DES kernel
   /// instants on track 0, leaf l's serve spans on track 1 + l (each leaf
   /// is a single-server Resource, so one track per leaf suffices), and
-  /// the query/retry/hedge lifecycle emitted by the policy engine above.
+  /// the client's query/retry/hedge lifecycle markers.
   void attach_trace(obs::TraceBuffer* t) {
-    trace_ = t;
     sim_.set_trace(t);
     t->name_thread(0, "des-kernel");
     for (unsigned l = 0; l < cfg_.leaves; ++l) {
       t->name_thread(1 + l, "leaf-" + std::to_string(l));
       leaves_[l]->set_trace(t, 1 + l);
     }
-    tr_query_ = t->intern("query");
-    tr_retry_ = t->intern("retry");
-    tr_hedge_ = t->intern("hedge");
-    tr_timeout_ = t->intern("timeout");
-    tr_lost_ = t->intern("lost");
-    tr_denied_ = t->intern("budget-denied");
-    tr_deadline_ = t->intern("deadline");
-    tr_quality_arg_ = t->intern("quality");
-    tr_shed_ = t->intern("shed");
-    tr_rejected_ = t->intern("rejected");
-    tr_brk_open_ = t->intern("breaker-open");
-    tr_brk_half_ = t->intern("breaker-half-open");
-    tr_brk_close_ = t->intern("breaker-close");
-    tr_brk_short_ = t->intern("breaker-short-circuit");
+    attach_client_trace(t);
     tr_pshed_ = t->intern("power-shed");
   }
 
@@ -903,20 +457,7 @@ class ClusterSim {
   void publish_metrics() {
     auto& m = obs::MetricsRegistry::global();
     if (!m.enabled()) return;
-    m.add(m.counter("cluster.queries"), res_.queries);
-    m.add(m.counter("cluster.retries"), res_.retries);
-    m.add(m.counter("cluster.hedges"), res_.hedges);
-    m.add(m.counter("cluster.timeouts"), res_.timeouts);
-    m.add(m.counter("cluster.lost_requests"), res_.lost_requests);
-    m.add(m.counter("cluster.budget_denials"), res_.budget_denials);
-    m.add(m.counter("cluster.shed.queries"), res_.shed_queries);
-    m.add(m.counter("cluster.shed.rejected"), res_.rejected_requests);
-    m.add(m.counter("cluster.shed.expired"), res_.expired_drops);
-    m.add(m.counter("cluster.breaker.opens"), res_.breaker_open_transitions);
-    m.add(m.counter("cluster.breaker.short_circuits"),
-          res_.breaker_short_circuits);
-    m.add(m.counter("cluster.breaker.probes"), res_.breaker_probes);
-    m.gauge_max(m.gauge("cluster.breaker.open_ms"), res_.breaker_open_ms);
+    publish_client_metrics(m);
     if (pcap_) {
       m.add(m.counter("cluster.power.shed"), res_.power_shed_queries);
       m.add(m.counter("cluster.power.stalls"), res_.power_gate_stalls);
@@ -931,21 +472,10 @@ class ClusterSim {
                 static_cast<double>(qhwm));
     m.add(m.counter("des.executed"), sim_.executed());
     m.add(m.counter("des.cancelled"), sim_.cancelled());
-    m.gauge_max(m.gauge("slab.queries.hwm"),
-                static_cast<double>(queries_.high_water()));
-    m.gauge_max(m.gauge("slab.calls.hwm"),
-                static_cast<double>(calls_.high_water()));
+    publish_slab_metrics(m);
   }
 #endif
 
-  const ClusterConfig& cfg_;
-  ResiliencePolicy pol_;
-  ClusterResult res_;
-  // The slabs are declared before sim_ and leaves_ so that pending
-  // actions destroyed during Simulator/Resource teardown (e.g. after an
-  // exception) can still release the handle guards they captured.
-  Slab<QueryRec> queries_;
-  Slab<CallRec> calls_;
   des::Simulator sim_;
   std::vector<std::unique_ptr<des::Resource>> leaves_;
   /// Power-capped co-simulation engine (null unless powercap.enabled).
@@ -954,7 +484,6 @@ class ClusterSim {
   std::vector<char> leaf_up_;
   std::vector<char> own_up_;
   std::vector<char> domain_up_;
-  std::vector<Breaker> breakers_;
   reliab::FailureTraceConfig fcfg_;
   /// Live gray-degradation state of one leaf (injection side).
   struct LeafGray {
@@ -964,30 +493,8 @@ class ClusterSim {
   };
   std::vector<LeafGray> gray_;
   bool gray_active_ = false;  // any gray injection configured this trial
-  GrayDetector gdet_;         // client-side fail-slow detector (no RNG)
-  std::vector<double> services_;  // pre-drawn per-(query,leaf) service times
-  Rng crng_{0};  // client-side picks: hedge/retry targets, jitter
-  Rng brng_{0};  // breaker-only stream: cooldown jitter, redirect draws
   Rng grng_{0};  // gray-injection-only stream: loss coins, jitter spikes
-  double budget_tokens_ = 0;
-  double adm_tokens_ = 0;    // admission rate-gate bucket
-  double adm_last_ms_ = 0;   // last refill time of adm_tokens_
-  unsigned in_flight_ = 0;   // queries open at the root
-  double window_ms_ = 0;     // goodput window size (0 = off)
-  unsigned quorum_needed_ = 0;
-  double horizon_ms_ = 0;
-  std::uint64_t started_ = 0;
-
-#if ARCH21_OBS_ENABLED
-  obs::TraceBuffer* trace_ = nullptr;
-  std::uint32_t tr_query_ = 0, tr_retry_ = 0, tr_hedge_ = 0, tr_timeout_ = 0,
-                tr_lost_ = 0, tr_denied_ = 0, tr_deadline_ = 0,
-                tr_quality_arg_ = 0, tr_shed_ = 0, tr_rejected_ = 0,
-                tr_brk_open_ = 0, tr_brk_half_ = 0, tr_brk_close_ = 0,
-                tr_brk_short_ = 0, tr_pshed_ = 0;
-  obs::MetricsRegistry* mreg_ = nullptr;  // set iff enabled at trial start
-  obs::MetricsRegistry::MetricId m_query_ms_ = 0;
-#endif
+  std::uint32_t tr_pshed_ = 0;
 };
 
 ClusterResult ClusterSim::run() {
@@ -997,33 +504,10 @@ ClusterResult ClusterSim::run() {
     leaves_.push_back(
         std::make_unique<des::Resource>(sim_, 1, cfg_.leaf_queue));
   }
-  if (pol_.breaker.enabled) {
-    breakers_.assign(cfg_.leaves, Breaker{});
-    // A dedicated sub-stream: breaker jitter/redirect draws never perturb
-    // workload, fault, or client-policy draws.
-    brng_ = Rng(cfg_.seed, 0xB4EA);
-  }
+  init_client();
 #if ARCH21_OBS_ENABLED
   if (cfg_.trace) attach_trace(cfg_.trace);
-  {
-    auto& mreg = obs::MetricsRegistry::global();
-    if (mreg.enabled()) {
-      mreg_ = &mreg;
-      // Same layout as ClusterResult::query_ms so quantiles agree.
-      m_query_ms_ = mreg.timer("cluster.query_ms", 1e-2, 1e5, 90);
-    }
-  }
 #endif
-
-  horizon_ms_ = cfg_.duration_s * 1000.0;
-  window_ms_ = cfg_.goodput_window_s * 1000.0;
-  res_.goodput_window_s = cfg_.goodput_window_s;
-  if (window_ms_ > 0) {
-    // Completions can straggle a little past the horizon; headroom keeps
-    // note_answered()'s resize from reallocating in steady state.
-    res_.answered_per_window.reserve(
-        static_cast<std::size_t>(horizon_ms_ / window_ms_) + 4);
-  }
   // All background arrivals and query starts are scheduled up front;
   // pre-size the event tiers for them (plus in-flight completions) so the
   // hot loop rarely reallocates.
@@ -1031,8 +515,6 @@ ClusterResult ClusterSim::run() {
                    cfg_.duration_s * (cfg_.background_rate_hz * cfg_.leaves +
                                       cfg_.query_rate_hz) * 1.1) +
                2 * cfg_.leaves + 64);
-  const double mu_log = std::log(cfg_.leaf_service_ms) -
-                        0.5 * cfg_.service_sigma * cfg_.service_sigma;
 
   // --- power-capped co-simulation (p-states, window energy contract) ---
   if (cfg_.powercap.enabled) {
@@ -1062,7 +544,6 @@ ClusterResult ClusterSim::run() {
                        });
     }
   }
-
   // --- failure injection (seeded trace replayed onto the DES) ---
   leaf_up_.assign(cfg_.leaves, 1);
   own_up_.assign(cfg_.leaves, 1);
@@ -1160,16 +641,7 @@ ClusterResult ClusterSim::run() {
   }
 
   // --- client-side gray detection (eval cadence on the root) ---
-  if (pol_.gray.enabled) {
-    gdet_.init(pol_.gray, cfg_.leaves, pol_.retry.timeout_ms);
-    const double step = pol_.gray.eval_interval_ms;
-    const auto evals =
-        static_cast<std::uint64_t>(std::ceil(horizon_ms_ / step));
-    for (std::uint64_t k = 1; k <= evals; ++k) {
-      sim_.schedule_at(static_cast<double>(k) * step,
-                       [this] { gdet_.eval(sim_.now()); });
-    }
-  }
+  schedule_gray_evals();
 
   // --- background load on each leaf (dropped while the leaf is down) ---
   for (unsigned l = 0; l < cfg_.leaves; ++l) {
@@ -1189,59 +661,16 @@ ClusterResult ClusterSim::run() {
   }
 
   // --- fan-out queries through the policy engine ---
-  Rng qrng = rng.split();
-  crng_ = rng.split();
-  budget_tokens_ = pol_.budget.burst;
-  adm_tokens_ = pol_.admission.burst;
-  quorum_needed_ = static_cast<unsigned>(
-      std::ceil(pol_.quorum.quorum_fraction * static_cast<double>(cfg_.leaves)));
-
-  double qt = 0;
-  while (true) {
-    qt += qrng.exponential(1000.0 / cfg_.query_rate_hz);
-    if (qt >= horizon_ms_) break;
-    // Pre-draw per-leaf service times so the workload is identical across
-    // policy/fault variants of the same seed.  One flat vector for all
-    // queries; the start event just remembers its slice's base index.
-    const std::size_t base = services_.size();
-    for (unsigned l = 0; l < cfg_.leaves; ++l) {
-      services_.push_back(qrng.lognormal(mu_log, cfg_.service_sigma));
-    }
-    sim_.schedule_at(qt, [this, base] { on_query_start(base); });
-  }
+  schedule_queries(rng);
 
   sim_.run();
 
-  res_.queries = started_;
-  // Queries that neither completed nor resolved at a deadline (e.g. a
-  // reply lost to a crash with no timeout armed) are failures too.
-  res_.failed_queries += started_ - res_.ok_queries - res_.degraded_queries -
-                         res_.failed_queries;
-
+  finish_client(sim_.now());
   // Server-side drop totals live in the leaves; fold them in once.
   for (const auto& leaf : leaves_) {
     res_.rejected_requests += leaf->rejected();
     res_.expired_drops += leaf->expired();
   }
-  // Close the books on breakers still open at the end of the run.
-  if (pol_.breaker.enabled) {
-    const double end = sim_.now();
-    for (const Breaker& b : breakers_) {
-      if (b.state == Breaker::kOpen) {
-        res_.breaker_open_ms += std::min(end, b.open_until) - b.opened_at;
-      }
-    }
-  }
-
-  // Fold the gray detector's books in once.
-  if (gdet_.engaged()) {
-    res_.gray_evictions = gdet_.evictions();
-    res_.gray_probations = gdet_.probations();
-    res_.gray_zombies = gdet_.zombies();
-    res_.adaptive_deadline_ms =
-        pol_.gray.adaptive_deadline ? gdet_.timeout_ms() : 0;
-  }
-
   // Fold the powercap engine's telemetry in once.
   if (pcap_) {
     pcap_->finish();
@@ -1253,26 +682,11 @@ ClusterResult ClusterSim::run() {
     res_.peak_window_w = ps.peak_window_w;
     res_.energy_j_per_window = ps.energy_j_per_window;
   }
-
   double util = 0;
   for (const auto& leaf : leaves_) {
     util += leaf->busy_time() / horizon_ms_;
   }
-  res_.mean_leaf_utilization = util / static_cast<double>(cfg_.leaves);
-  res_.hedge_fraction =
-      res_.leaf_requests ? static_cast<double>(res_.hedges) /
-                               static_cast<double>(res_.leaf_requests)
-                         : 0;
-  res_.retry_amplification =
-      started_ ? static_cast<double>(res_.leaf_requests) /
-                     (static_cast<double>(started_) *
-                      static_cast<double>(cfg_.leaves))
-               : 0;
-  res_.goodput_qps =
-      static_cast<double>(res_.ok_queries + res_.degraded_queries) /
-      cfg_.duration_s;
-  res_.frac_over_leaf_p99 =
-      res_.query_ms.fraction_above(res_.leaf_ms.quantile(0.99));
+  finish_ratios(util);
 #if ARCH21_OBS_ENABLED
   publish_metrics();
 #endif

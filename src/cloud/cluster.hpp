@@ -146,10 +146,6 @@ struct ClusterConfig {
   double background_ms = 3.0;       ///< mean background task size
   double duration_s = 30;           ///< simulated time
   std::uint64_t seed = 2014;
-  /// Hedging: reissue the straggling leaf request to a random other leaf
-  /// when it exceeds this many ms (0 = disabled).  Legacy alias for
-  /// policy.hedge_after_ms; used when the policy's own field is 0.
-  double hedge_after_ms = 0;
   /// Server-side queue policy applied to every leaf (capacity 0 + FIFO =
   /// the historical unbounded station).  Time unit is ms, like the rest
   /// of the cluster (so sojourn_target is a millisecond budget).

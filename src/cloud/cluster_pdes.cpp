@@ -5,25 +5,28 @@
 // picks the engine from ClusterConfig::workers; results are bit-identical
 // either way (tests/test_pdes.cpp).
 //
-// Partitioning: LP 0 is the root -- query arrivals plus the entire
-// client-side policy engine (deadlines, hedges, retries, budgets,
-// admission, per-replica breakers), a direct port of cluster.cpp's
-// ClusterSim client half.  LPs 1..G each own a contiguous group of
-// leaves: their des::Resource queues, their background load, and their
-// fault transitions.  Every root<->leaf exchange travels net_latency_ms
-// one way, which is exactly the engine's conservative lookahead.
+// Partitioning: LP 0 is the root -- query arrivals plus the client-policy
+// core shared with the serial engine (ClusterClient, cloud/client.hpp:
+// deadlines, hedges, retries, budgets, admission, per-replica breakers,
+// gray detection).  This file adds only the transport and the server
+// side.  LPs 1..G each own a contiguous group of leaves: their
+// des::Resource queues, their background load, and their fault
+// transitions.  Every root<->leaf exchange travels net_latency_ms one
+// way, which is exactly the engine's conservative lookahead.
 //
-// Differences from the legacy zero-latency model (this is a NEW scenario,
-// gated on net_latency_ms > 0; the legacy path is untouched):
+// Differences from the zero-latency model (this is a separate scenario,
+// gated on net_latency_ms > 0):
 //   * A request sent to a down leaf is counted lost at the LEAF, when it
 //     arrives -- the root only learns through its timeout, as a real
-//     client would.  (Legacy checked leaf_up_ at send time.)
+//     client would.  (The serial engine checks the leaf at send time.)
 //   * A bounded-queue rejection reaches the root as an explicit reject
 //     message after the return latency, and only then feeds the breaker.
+//   * The gray detector scores only replies the root can still attribute
+//     to a call (the serial engine also scores late and duplicate ones).
 //   * leaf_ms/query latencies include two network hops.
 //
 // Determinism: all client-side state (slabs, breakers, budget/admission
-// buckets, histograms, crng_/brng_ draws) is touched only by root-LP
+// buckets, histograms, client/breaker draws) is touched only by root-LP
 // events; each group's state only by that group's events; cross-LP
 // effects only via engine messages.  Every RNG is either consumed at
 // setup (background, query plan, services, fault trace) in a fixed order
@@ -39,13 +42,12 @@
 #include <utility>
 #include <vector>
 
+#include "cloud/client.hpp"
 #include "cloud/cluster.hpp"
-#include "cloud/gray_detect.hpp"
 #include "des/partition.hpp"
 #include "des/pdes.hpp"
 #include "des/resource.hpp"
 #include "reliab/failure_trace.hpp"
-#include "util/slab.hpp"
 #include "util/thread_pool.hpp"
 
 #if ARCH21_OBS_ENABLED
@@ -60,109 +62,49 @@ namespace {
 constexpr double kMsPerHour = 3.6e6;
 
 template <class Engine>
-class PdesClusterSim {
+class PdesClusterSim : public ClusterClient<PdesClusterSim<Engine>> {
   using LpT = std::remove_reference_t<decltype(std::declval<Engine&>().lp(0))>;
+  using Client = ClusterClient<PdesClusterSim<Engine>>;
+  friend Client;
+  using Client::kNull;
+  using typename Client::Adopt;
+  using typename Client::CallRef;
+  using typename Client::QueryRef;
+  using Client::calls_;
+  using Client::cfg_;
+  using Client::gdet_;
+  using Client::horizon_ms_;
+  using Client::res_;
+  using Client::tr_lost_;
+  using Client::tr_rejected_;
+#if ARCH21_OBS_ENABLED
+  using Client::trace_;
+#endif
 
  public:
   /// Extra arguments construct the engine in place (LoopbackEngine takes
   /// the spec; ParallelEngine takes spec + pool).  The engine lives
-  /// INSIDE this object, after the slabs, so teardown order matches
-  /// ClusterSim's contract (see the member comment below).
+  /// INSIDE this object, after the client's slabs (in the base), so
+  /// pending actions destroyed during engine teardown can still release
+  /// the handle guards they captured.
   template <class... EngineArgs>
   PdesClusterSim(const ClusterConfig& cfg, unsigned groups,
                  EngineArgs&&... engine_args)
-      : cfg_(cfg),
-        pol_(cfg.policy),
+      : Client(cfg),
         groups_(groups),
         eng_(std::forward<EngineArgs>(engine_args)...),
         root_(eng_.lp(0)),
-        rsim_(eng_.lp(0).sim()) {
-    if (pol_.hedge_after_ms == 0 && cfg.hedge_after_ms > 0) {
-      pol_.hedge_after_ms = cfg.hedge_after_ms;
-    }
-  }
+        rsim_(eng_.lp(0).sim()) {}
 
   ClusterResult run();
 
  private:
-  static constexpr std::uint32_t kNull = Slab<int>::kNull;
-
   /// Cross-LP message tags (des::Payload::kind).
   enum : std::uint32_t {
     kReq = 1,    ///< root -> group: u32 = leaf, a = serial, x = service_ms
     kReply = 2,  ///< group -> root: u32 = leaf, a = serial
     kReject = 3  ///< group -> root: bounced off a full leaf queue
   };
-
-  struct QueryRec {
-    unsigned replied = 0;
-    double start_ms = 0;
-    bool closed = false;
-    des::EventHandle deadline{};
-#if ARCH21_OBS_ENABLED
-    std::uint64_t trace_serial = 0;
-#endif
-  };
-  struct CallRec {
-    bool done = false;
-    unsigned attempts = 0;
-    bool hedged = false;
-    des::EventHandle timeout{};
-    des::EventHandle hedge{};
-    std::uint32_t query = kNull;
-  };
-  struct Breaker {
-    enum State : std::uint8_t { kClosed, kOpen, kHalfOpen };
-    State state = kClosed;
-    std::uint64_t bits = 0;
-    std::uint32_t filled = 0;
-    std::uint32_t idx = 0;
-    std::uint32_t fails = 0;
-    std::uint32_t probes_left = 0;
-    double opened_at = 0;
-    double open_until = 0;
-  };
-  struct Adopt {};
-  struct QueryRef {
-    PdesClusterSim* s = nullptr;
-    std::uint32_t h = kNull;
-    QueryRef(PdesClusterSim* sim, std::uint32_t handle) : s(sim), h(handle) {
-      s->queries_.retain(h);
-    }
-    QueryRef(Adopt, PdesClusterSim* sim, std::uint32_t handle) noexcept
-        : s(sim), h(handle) {}
-    QueryRef(const QueryRef& o) : s(o.s), h(o.h) {
-      if (s) s->queries_.retain(h);
-    }
-    QueryRef(QueryRef&& o) noexcept : s(o.s), h(o.h) { o.s = nullptr; }
-    QueryRef& operator=(const QueryRef&) = delete;
-    QueryRef& operator=(QueryRef&&) = delete;
-    ~QueryRef() {
-      if (s) s->queries_.release(h);
-    }
-    QueryRec* operator->() const noexcept { return &s->queries_[h]; }
-  };
-  struct CallRef {
-    PdesClusterSim* s = nullptr;
-    std::uint32_t h = kNull;
-    CallRef(Adopt, PdesClusterSim* sim, std::uint32_t handle) noexcept
-        : s(sim), h(handle) {}
-    CallRef(const CallRef& o) : s(o.s), h(o.h) {
-      if (s) s->calls_.retain(h);
-    }
-    CallRef(CallRef&& o) noexcept : s(o.s), h(o.h) { o.s = nullptr; }
-    CallRef& operator=(const CallRef&) = delete;
-    CallRef& operator=(CallRef&&) = delete;
-    ~CallRef() {
-      if (s) s->release_call(h);
-    }
-    CallRec* operator->() const noexcept { return &s->calls_[h]; }
-  };
-
-  void release_call(std::uint32_t h) {
-    const std::uint32_t q = calls_[h].query;
-    if (calls_.release(h) && q != kNull) queries_.release(q);
-  }
 
   /// One leaf-group LP's server-side state.  Touched only by that
   /// group's events (plus serial setup/teardown).
@@ -173,6 +115,8 @@ class PdesClusterSim {
     unsigned first = 0;       ///< first global leaf id of this group
     std::uint32_t trace_tid = 0;
   };
+
+  des::Simulator& client_sim() noexcept { return rsim_; }
 
   unsigned group_of_leaf(unsigned l) const noexcept {
     return des::group_of(l, cfg_.leaves, groups_);
@@ -227,223 +171,22 @@ class PdesClusterSim {
   }
 
   // ------------------------------------------------------- root side
-  // A direct port of ClusterSim's client engine: same policy order, same
-  // RNG streams; the leaf send/receive is replaced by engine messages.
 
-  bool admit() {
-    const AdmissionPolicy& a = pol_.admission;
-    if (a.max_in_flight > 0 && in_flight_ >= a.max_in_flight) return false;
-    if (a.rate_qps > 0) {
-      const double now = rsim_.now();
-      adm_tokens_ = std::min(
-          a.burst, adm_tokens_ + (now - adm_last_ms_) * a.rate_qps / 1000.0);
-      adm_last_ms_ = now;
-      if (adm_tokens_ < 1.0) return false;
-      adm_tokens_ -= 1.0;
-    }
-    ++in_flight_;
-    return true;
-  }
-
-  void free_in_flight() {
-    if (in_flight_ > 0) --in_flight_;
-  }
-
-  void note_answered() {
-    if (window_ms_ <= 0) return;
-    const auto idx = static_cast<std::size_t>(rsim_.now() / window_ms_);
-    if (idx >= res_.answered_per_window.size()) {
-      res_.answered_per_window.resize(idx + 1, 0);
-    }
-    ++res_.answered_per_window[idx];
-  }
-
-  void breaker_open(Breaker& b) {
-    b.state = Breaker::kOpen;
-    b.opened_at = rsim_.now();
-    b.open_until =
-        rsim_.now() +
-        pol_.breaker.open_ms *
-            (1.0 + pol_.breaker.open_jitter_frac * brng_.uniform(-1.0, 1.0));
-    ++res_.breaker_open_transitions;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_brk_open_, rsim_.now(), 0);
-#endif
-  }
-
-  bool breaker_allows(unsigned l) {
-    Breaker& b = breakers_[l];
-    if (b.state == Breaker::kClosed) return true;
-    if (b.state == Breaker::kOpen) {
-      if (rsim_.now() < b.open_until) return false;
-      res_.breaker_open_ms += b.open_until - b.opened_at;
-      b.state = Breaker::kHalfOpen;
-      b.probes_left = pol_.breaker.half_open_probes;
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_brk_half_, rsim_.now(), 0);
-#endif
-    }
-    if (b.probes_left == 0) return false;
-    --b.probes_left;
-    ++res_.breaker_probes;
-    return true;
-  }
-
-  void breaker_record(unsigned l, bool ok) {
-    if (!pol_.breaker.enabled) return;
-    Breaker& b = breakers_[l];
-    switch (b.state) {
-      case Breaker::kOpen:
-        return;
-      case Breaker::kHalfOpen:
-        if (ok) {
-          b = Breaker{};
-#if ARCH21_OBS_ENABLED
-          if (trace_) trace_->instant(tr_brk_close_, rsim_.now(), 0);
-#endif
-        } else {
-          breaker_open(b);
-        }
-        return;
-      case Breaker::kClosed: {
-        const CircuitBreakerPolicy& p = pol_.breaker;
-        const std::uint64_t bit = std::uint64_t{1} << b.idx;
-        if (b.filled == p.window) {
-          if (b.bits & bit) --b.fails;
-        } else {
-          ++b.filled;
-        }
-        if (ok) {
-          b.bits &= ~bit;
-        } else {
-          b.bits |= bit;
-          ++b.fails;
-        }
-        b.idx = (b.idx + 1) % p.window;
-        if (b.filled >= p.min_samples &&
-            static_cast<double>(b.fails) >=
-                p.failure_threshold * static_cast<double>(b.filled)) {
-          breaker_open(b);
-        }
-        return;
-      }
-    }
-  }
-
-  void on_query_start(std::size_t services_base) {
-    if (pol_.admission.enabled && !admit()) {
-      ++res_.shed_queries;
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_shed_, rsim_.now(), 0);
-#endif
-      return;
-    }
-    QueryRef q(Adopt{}, this, queries_.acquire());
-    q->start_ms = rsim_.now();
-    ++started_;
-#if ARCH21_OBS_ENABLED
-    if (trace_) {
-      q->trace_serial = started_;
-      trace_->async_begin(tr_query_, q->trace_serial, rsim_.now());
-    }
-#endif
-    if (pol_.quorum.enabled()) {
-      q->deadline = rsim_.schedule_cancellable(
-          pol_.quorum.deadline_ms, [this, q] { on_deadline(q); });
-    }
-    for (unsigned l = 0; l < cfg_.leaves; ++l) {
-      const std::uint32_t ch = calls_.acquire();
-      queries_.retain(q.h);
-      calls_[ch].query = q.h;
-      CallRef call(Adopt{}, this, ch);
-      issue(q, call, services_[services_base + l], l, false);
-    }
-  }
-
-  /// Issue one attempt (or hedge) of a leaf call: same breaker
-  /// short-circuit/redirect policy as the legacy engine, but the send is
-  /// a kReq message to the target's group LP, identified by a fresh
-  /// per-attempt serial (slab handles recycle, so raw handles cannot ride
-  /// in messages; the serial table pins the call until its response).
-  void issue(const QueryRef& q, const CallRef& call, double service,
-             unsigned target, bool is_hedge) {
-    if (call->done || q->closed) return;
-    ++res_.leaf_requests;
-    if (is_hedge) {
-      ++res_.hedges;
-    } else {
-      ++call->attempts;
-      if (pol_.budget.enabled && call->attempts == 1) {
-        budget_tokens_ =
-            std::min(budget_tokens_ + pol_.budget.ratio, pol_.budget.burst);
-      }
-    }
-
-    unsigned t = target;
-    bool send = true;
-    if (gdet_.engaged() && gdet_.evicted(t)) {
-      // Gray-evicted replica: steer the send to a healthy peer chosen
-      // round-robin (deterministic), same policy as the serial engine.
-      ++res_.gray_redirected_sends;
-      const unsigned alt = gdet_.redirect_target(t);
-      if (alt == GrayDetector::kNone) {
-        send = false;
-      } else {
-        t = alt;
-      }
-    }
-    if (send && pol_.breaker.enabled && !breaker_allows(t)) {
-      ++res_.breaker_short_circuits;
-#if ARCH21_OBS_ENABLED
-      if (trace_) trace_->instant(tr_brk_short_, rsim_.now(), 0);
-#endif
-      send = false;
-      for (int k = 0; k < 3; ++k) {
-        const unsigned alt = static_cast<unsigned>(brng_.below(cfg_.leaves));
-        if (breaker_allows(alt)) {
-          t = alt;
-          send = true;
-          break;
-        }
-      }
-    }
-
-    if (send) {
-      if (gdet_.engaged()) gdet_.on_sent(t);
-      const std::uint64_t serial = call_by_serial_.size();
-      calls_.retain(call.h);
-      call_by_serial_.push_back(call.h);
-      des::Payload req;
-      req.kind = kReq;
-      req.u32 = t;
-      req.a = serial;
-      req.x = service;
-      root_.send(1 + group_of_leaf(t), cfg_.net_latency_ms, req);
-    }
-
-    if (!is_hedge && pol_.hedge_after_ms > 0 && !call->hedged &&
-        call->attempts == 1) {
-      auto hedge = [this, q, call, service] { on_hedge(q, call, service); };
-      static_assert(sizeof(hedge) <= des::Simulator::Action::capacity(),
-                    "hedge closure must fit the Action inline buffer");
-      call->hedge =
-          rsim_.schedule_cancellable(pol_.hedge_after_ms, std::move(hedge));
-    }
-    if (!is_hedge && pol_.retry.timeout_ms > 0) {
-      // Armed per leaf call: with the completion closure this is the
-      // hottest allocation candidate in the whole scenario.  The adaptive
-      // deadline (when on) replaces the fixed timeout with the detector's
-      // tracked p99-based value.
-      const double to = gdet_.engaged() && pol_.gray.adaptive_deadline
-                            ? gdet_.timeout_ms()
-                            : pol_.retry.timeout_ms;
-      auto timeout = [this, q, call, service, t] {
-        on_timeout(q, call, service, t);
-      };
-      static_assert(sizeof(timeout) <= des::Simulator::Action::capacity(),
-                    "timeout closure must fit the Action inline buffer");
-      call->timeout = rsim_.schedule_cancellable(to, std::move(timeout));
-    }
+  /// Send one attempt as a kReq message to the target's group LP,
+  /// identified by a fresh per-attempt serial (slab handles recycle, so
+  /// raw handles cannot ride in messages; the serial table pins the call
+  /// until its response).
+  void transmit(const QueryRef&, const CallRef& call, double service,
+                unsigned t) {
+    const std::uint64_t serial = call_by_serial_.size();
+    calls_.retain(call.h);
+    call_by_serial_.push_back(call.h);
+    des::Payload req;
+    req.kind = kReq;
+    req.u32 = t;
+    req.a = serial;
+    req.x = service;
+    root_.send(1 + group_of_leaf(t), cfg_.net_latency_ms, req);
   }
 
   void on_root_msg(const des::Payload& p) {
@@ -455,128 +198,27 @@ class PdesClusterSim {
   }
 
   void on_reply(unsigned leaf, std::uint64_t serial) {
-    breaker_record(leaf, true);
+    this->note_reply(leaf);
     const std::uint32_t h = call_by_serial_[serial];
     if (h == kNull) return;  // record already resolved and freed
     call_by_serial_[serial] = kNull;
     CallRef call(Adopt{}, this, h);  // adopt the table's reference
     if (call->done) return;          // a faster attempt already answered
-    call->done = true;
     QueryRef q(this, call->query);
-    rsim_.cancel(call->timeout);
-    rsim_.cancel(call->hedge);
-    const double lat = rsim_.now() - q->start_ms;
     // The detector scores every reply it can still attribute to a query
     // (serial-resolved records lose the start time, so replies racing an
     // already-resolved record go unscored -- a bounded difference from
     // the serial engine, identical across PDES engines/worker counts).
-    if (gdet_.engaged()) gdet_.on_reply(leaf, lat);
-    res_.leaf_ms.add(lat);
-    if (q->closed) return;  // degraded/failed; reply arrived late
-    if (++q->replied == cfg_.leaves) {
-      q->closed = true;
-      free_in_flight();
-      rsim_.cancel(q->deadline);
-      ++res_.ok_queries;
-      res_.sum_result_quality += 1.0;
-      res_.query_ms.add(lat);
-      note_answered();
-#if ARCH21_OBS_ENABLED
-      if (mreg_) mreg_->record(m_query_ms_, lat);
-      if (trace_) {
-        trace_->async_end(tr_query_, q->trace_serial, rsim_.now(),
-                          tr_quality_arg_, 1.0);
-      }
-#endif
-    }
+    if (gdet_.engaged()) gdet_.on_reply(leaf, rsim_.now() - q->start_ms);
+    this->call_answered(q, call);
   }
 
   void on_reject(unsigned leaf, std::uint64_t serial) {
-    // A rejecting replica is an overloaded replica; the armed timeout
-    // recovers the call itself.  For the gray detector the bounce is a
-    // LOUD refusal, not a silent non-reply -- discount it from the
-    // reply-rate denominator or redirected load evicts healthy replicas.
-    breaker_record(leaf, false);
-    if (gdet_.engaged()) gdet_.on_rejected(leaf);
+    this->note_reject(leaf);
     const std::uint32_t h = call_by_serial_[serial];
     if (h == kNull) return;
     call_by_serial_[serial] = kNull;
     CallRef drop(Adopt{}, this, h);  // release the table's reference
-  }
-
-  void on_deadline(const QueryRef& q) {
-    if (q->closed) return;
-    q->closed = true;
-    free_in_flight();
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_deadline_, rsim_.now(), 0);
-#endif
-    if (q->replied >= quorum_needed_) {
-      ++res_.degraded_queries;
-      const double quality = static_cast<double>(q->replied) /
-                             static_cast<double>(cfg_.leaves);
-      res_.sum_result_quality += quality;
-      res_.query_ms.add(rsim_.now() - q->start_ms);
-      note_answered();
-#if ARCH21_OBS_ENABLED
-      if (mreg_) mreg_->record(m_query_ms_, rsim_.now() - q->start_ms);
-      if (trace_) {
-        trace_->async_end(tr_query_, q->trace_serial, rsim_.now(),
-                          tr_quality_arg_, quality);
-      }
-#endif
-    } else {
-      ++res_.failed_queries;
-#if ARCH21_OBS_ENABLED
-      if (trace_) {
-        trace_->async_end(tr_query_, q->trace_serial, rsim_.now(),
-                          tr_quality_arg_, 0.0);
-      }
-#endif
-    }
-  }
-
-  void on_hedge(const QueryRef& q, const CallRef& call, double service) {
-    if (call->done || q->closed) return;
-    call->hedged = true;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_hedge_, rsim_.now(), 0);
-#endif
-    issue(q, call, service, static_cast<unsigned>(crng_.below(cfg_.leaves)),
-          true);
-  }
-
-  void on_timeout(const QueryRef& q, const CallRef& call, double service,
-                  unsigned target) {
-    breaker_record(target, false);
-    if (call->done || q->closed) return;
-    ++res_.timeouts;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_timeout_, rsim_.now(), 0);
-#endif
-    if (call->attempts > pol_.retry.max_retries) return;
-    if (pol_.budget.enabled) {
-      if (budget_tokens_ < 1.0) {
-        ++res_.budget_denials;
-#if ARCH21_OBS_ENABLED
-        if (trace_) trace_->instant(tr_denied_, rsim_.now(), 0);
-#endif
-        return;
-      }
-      budget_tokens_ -= 1.0;
-    }
-    ++res_.retries;
-#if ARCH21_OBS_ENABLED
-    if (trace_) trace_->instant(tr_retry_, rsim_.now(), 0);
-#endif
-    const double backoff = pol_.retry.backoff_ms(call->attempts - 1, crng_);
-    const unsigned alt = static_cast<unsigned>(crng_.below(cfg_.leaves));
-    auto retry = [this, q, call, service, alt] {
-      issue(q, call, service, alt, false);
-    };
-    static_assert(sizeof(retry) <= des::Simulator::Action::capacity(),
-                  "retry closure must fit the Action inline buffer");
-    rsim_.schedule(backoff, std::move(retry));
   }
 
 #if ARCH21_OBS_ENABLED
@@ -586,7 +228,6 @@ class PdesClusterSim {
   /// 1 + leaves + g = group g's kernel instants (per-LP event streams
   /// stay separable in the Chrome trace).
   void attach_trace(obs::TraceBuffer* t) {
-    trace_ = t;
     rsim_.set_trace(t, 0);
     t->name_thread(0, "pdes-root");
     for (unsigned g = 0; g < groups_; ++g) {
@@ -604,39 +245,13 @@ class PdesClusterSim {
         grp.leaves[li]->set_trace(t, 1 + l);
       }
     }
-    tr_query_ = t->intern("query");
-    tr_retry_ = t->intern("retry");
-    tr_hedge_ = t->intern("hedge");
-    tr_timeout_ = t->intern("timeout");
-    tr_lost_ = t->intern("lost");
-    tr_denied_ = t->intern("budget-denied");
-    tr_deadline_ = t->intern("deadline");
-    tr_quality_arg_ = t->intern("quality");
-    tr_shed_ = t->intern("shed");
-    tr_rejected_ = t->intern("rejected");
-    tr_brk_open_ = t->intern("breaker-open");
-    tr_brk_half_ = t->intern("breaker-half-open");
-    tr_brk_close_ = t->intern("breaker-close");
-    tr_brk_short_ = t->intern("breaker-short-circuit");
+    this->attach_client_trace(t);
   }
 
   void publish_metrics() {
     auto& m = obs::MetricsRegistry::global();
     if (!m.enabled()) return;
-    m.add(m.counter("cluster.queries"), res_.queries);
-    m.add(m.counter("cluster.retries"), res_.retries);
-    m.add(m.counter("cluster.hedges"), res_.hedges);
-    m.add(m.counter("cluster.timeouts"), res_.timeouts);
-    m.add(m.counter("cluster.lost_requests"), res_.lost_requests);
-    m.add(m.counter("cluster.budget_denials"), res_.budget_denials);
-    m.add(m.counter("cluster.shed.queries"), res_.shed_queries);
-    m.add(m.counter("cluster.shed.rejected"), res_.rejected_requests);
-    m.add(m.counter("cluster.shed.expired"), res_.expired_drops);
-    m.add(m.counter("cluster.breaker.opens"), res_.breaker_open_transitions);
-    m.add(m.counter("cluster.breaker.short_circuits"),
-          res_.breaker_short_circuits);
-    m.add(m.counter("cluster.breaker.probes"), res_.breaker_probes);
-    m.gauge_max(m.gauge("cluster.breaker.open_ms"), res_.breaker_open_ms);
+    this->publish_client_metrics(m);
     std::size_t qhwm = 0;
     for (const Group& grp : grps_) {
       for (const auto& leaf : grp.leaves) {
@@ -646,68 +261,30 @@ class PdesClusterSim {
     m.gauge_max(m.gauge("cluster.leaf_queue.hwm"), static_cast<double>(qhwm));
     m.add(m.counter("des.executed"), eng_.executed());
     m.add(m.counter("des.cancelled"), eng_.cancelled());
-    m.gauge_max(m.gauge("slab.queries.hwm"),
-                static_cast<double>(queries_.high_water()));
-    m.gauge_max(m.gauge("slab.calls.hwm"),
-                static_cast<double>(calls_.high_water()));
+    this->publish_slab_metrics(m);
     if constexpr (requires { eng_.publish_metrics(); }) {
       eng_.publish_metrics();  // pdes.window.* / pdes.mailbox.*
     }
   }
 #endif
 
-  const ClusterConfig& cfg_;
-  ResiliencePolicy pol_;
   unsigned groups_ = 0;
-  ClusterResult res_;
-  // Declaration order is a destruction contract, mirroring ClusterSim:
-  // the slabs come before eng_ so pending actions destroyed during
-  // Simulator teardown (e.g. after an exception) can still release the
-  // QueryRef/CallRef guards they captured, and grps_ comes after eng_ so
-  // every Resource is torn down while its owning Simulator is alive.
-  Slab<QueryRec> queries_;
-  Slab<CallRec> calls_;
   Engine eng_;
   LpT& root_;
   des::Simulator& rsim_;
+  // grps_ comes after eng_ so every Resource is torn down while its
+  // owning Simulator is alive.
   std::vector<Group> grps_;
-  std::vector<Breaker> breakers_;
   /// serial -> call handle (kNull once resolved).  Each entry holds one
   /// counted reference from send until its reply/reject arrives; replies
   /// that never come (lost to a crash) keep their record until teardown.
   std::vector<std::uint32_t> call_by_serial_;
   reliab::FailureTraceConfig fcfg_;
-  GrayDetector gdet_;  ///< client-side fail-slow detector (root LP only)
-  std::vector<double> services_;
-  Rng crng_{0};
-  Rng brng_{0};
-  double budget_tokens_ = 0;
-  double adm_tokens_ = 0;
-  double adm_last_ms_ = 0;
-  unsigned in_flight_ = 0;
-  double window_ms_ = 0;
-  unsigned quorum_needed_ = 0;
-  double horizon_ms_ = 0;
-  std::uint64_t started_ = 0;
-
-#if ARCH21_OBS_ENABLED
-  obs::TraceBuffer* trace_ = nullptr;
-  std::uint32_t tr_query_ = 0, tr_retry_ = 0, tr_hedge_ = 0, tr_timeout_ = 0,
-                tr_lost_ = 0, tr_denied_ = 0, tr_deadline_ = 0,
-                tr_quality_arg_ = 0, tr_shed_ = 0, tr_rejected_ = 0,
-                tr_brk_open_ = 0, tr_brk_half_ = 0, tr_brk_close_ = 0,
-                tr_brk_short_ = 0;
-  obs::MetricsRegistry* mreg_ = nullptr;
-  obs::MetricsRegistry::MetricId m_query_ms_ = 0;
-#endif
 };
 
 template <class Engine>
 ClusterResult PdesClusterSim<Engine>::run() {
   Rng rng(cfg_.seed);
-  horizon_ms_ = cfg_.duration_s * 1000.0;
-  window_ms_ = cfg_.goodput_window_s * 1000.0;
-  res_.goodput_window_s = cfg_.goodput_window_s;
 
   // --- LP wiring: handlers, leaf resources, pre-sizing ---
   root_.set_handler(
@@ -735,38 +312,14 @@ ClusterResult PdesClusterSim<Engine>::run() {
   rsim_.reserve(static_cast<std::size_t>(cfg_.duration_s *
                                          cfg_.query_rate_hz * 1.2) +
                 2 * cfg_.leaves + 64);
-  if (pol_.breaker.enabled) {
-    breakers_.assign(cfg_.leaves, Breaker{});
-    brng_ = Rng(cfg_.seed, 0xB4EA);
-  }
-  if (pol_.gray.enabled) {
-    // Detection is root-LP state only (all scoring happens on replies the
-    // root observes), so the port needs no cross-LP coordination.  Gray
-    // INJECTION is a serial-engine feature (validate() rejects it here).
-    gdet_.init(pol_.gray, cfg_.leaves, pol_.retry.timeout_ms);
-    const double step = pol_.gray.eval_interval_ms;
-    const auto evals = static_cast<std::uint64_t>(std::ceil(horizon_ms_ / step));
-    for (std::uint64_t k = 1; k <= evals; ++k) {
-      rsim_.schedule_at(static_cast<double>(k) * step,
-                        [this] { gdet_.eval(rsim_.now()); });
-    }
-  }
+  this->init_client();
+  // Detection is root-LP state only (all scoring happens on replies the
+  // root observes), so it needs no cross-LP coordination.  Gray
+  // INJECTION is a serial-engine feature (validate() rejects it here).
+  this->schedule_gray_evals();
 #if ARCH21_OBS_ENABLED
   if (cfg_.trace) attach_trace(cfg_.trace);
-  {
-    auto& mreg = obs::MetricsRegistry::global();
-    if (mreg.enabled()) {
-      mreg_ = &mreg;
-      m_query_ms_ = mreg.timer("cluster.query_ms", 1e-2, 1e5, 90);
-    }
-  }
 #endif
-  if (window_ms_ > 0) {
-    res_.answered_per_window.reserve(
-        static_cast<std::size_t>(horizon_ms_ / window_ms_) + 4);
-  }
-  const double mu_log = std::log(cfg_.leaf_service_ms) -
-                        0.5 * cfg_.service_sigma * cfg_.service_sigma;
 
   // --- failure injection: expand the stochastic trace + deterministic
   // burst into per-leaf EFFECTIVE up/down transitions at setup (a serial
@@ -878,81 +431,29 @@ ClusterResult PdesClusterSim<Engine>::run() {
   }
 
   // --- fan-out queries through the policy engine ---
-  Rng qrng = rng.split();
-  crng_ = rng.split();
-  budget_tokens_ = pol_.budget.burst;
-  adm_tokens_ = pol_.admission.burst;
-  quorum_needed_ = static_cast<unsigned>(std::ceil(
-      pol_.quorum.quorum_fraction * static_cast<double>(cfg_.leaves)));
-
-  double qt = 0;
-  while (true) {
-    qt += qrng.exponential(1000.0 / cfg_.query_rate_hz);
-    if (qt >= horizon_ms_) break;
-    const std::size_t base = services_.size();
-    for (unsigned l = 0; l < cfg_.leaves; ++l) {
-      services_.push_back(qrng.lognormal(mu_log, cfg_.service_sigma));
-    }
-    rsim_.schedule_at(qt, [this, base] { on_query_start(base); });
-  }
+  this->schedule_queries(rng);
 
   eng_.run();  // drain: completions may straggle past the horizon
 
-  res_.queries = started_;
-  res_.failed_queries += started_ - res_.ok_queries - res_.degraded_queries -
-                         res_.failed_queries;
-
+  // Close the breaker books at the time of the LAST event anywhere --
+  // the same instant on either engine (the loopback clock stops at the
+  // global last event; the parallel engine's per-LP maximum equals it).
+  double end = 0;
+  for (std::uint32_t i = 0; i < eng_.lps(); ++i) {
+    end = std::max(end, eng_.lp(i).now());
+  }
+  this->finish_client(end);
   // Server-side folds, in global leaf order (deterministic).
+  double util = 0;
   for (const Group& grp : grps_) {
     res_.lost_requests += grp.lost;
     for (const auto& leaf : grp.leaves) {
       res_.rejected_requests += leaf->rejected();
       res_.expired_drops += leaf->expired();
-    }
-  }
-  if (gdet_.engaged()) {
-    res_.gray_evictions = gdet_.evictions();
-    res_.gray_probations = gdet_.probations();
-    res_.gray_zombies = gdet_.zombies();
-    res_.adaptive_deadline_ms =
-        pol_.gray.adaptive_deadline ? gdet_.timeout_ms() : 0;
-  }
-  if (pol_.breaker.enabled) {
-    // Close the books at the time of the LAST event anywhere -- the same
-    // instant on either engine (the loopback clock stops at the global
-    // last event; the parallel engine's per-LP maximum equals it).
-    double end = 0;
-    for (std::uint32_t i = 0; i < eng_.lps(); ++i) {
-      end = std::max(end, eng_.lp(i).now());
-    }
-    for (const Breaker& b : breakers_) {
-      if (b.state == Breaker::kOpen) {
-        res_.breaker_open_ms += std::min(end, b.open_until) - b.opened_at;
-      }
-    }
-  }
-
-  double util = 0;
-  for (const Group& grp : grps_) {
-    for (const auto& leaf : grp.leaves) {
       util += leaf->busy_time() / horizon_ms_;
     }
   }
-  res_.mean_leaf_utilization = util / static_cast<double>(cfg_.leaves);
-  res_.hedge_fraction =
-      res_.leaf_requests ? static_cast<double>(res_.hedges) /
-                               static_cast<double>(res_.leaf_requests)
-                         : 0;
-  res_.retry_amplification =
-      started_ ? static_cast<double>(res_.leaf_requests) /
-                     (static_cast<double>(started_) *
-                      static_cast<double>(cfg_.leaves))
-               : 0;
-  res_.goodput_qps =
-      static_cast<double>(res_.ok_queries + res_.degraded_queries) /
-      cfg_.duration_s;
-  res_.frac_over_leaf_p99 =
-      res_.query_ms.fraction_above(res_.leaf_ms.quantile(0.99));
+  this->finish_ratios(util);
 #if ARCH21_OBS_ENABLED
   publish_metrics();
 #endif

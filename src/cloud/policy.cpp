@@ -147,7 +147,7 @@ void GrayDetectionPolicy::validate() const {
 void ResiliencePolicy::validate() const {
   retry.validate();
   budget.validate();
-  if (hedge_after_ms < 0) {
+  if (!(hedge_after_ms >= 0)) {
     bad("ResiliencePolicy", "hedge_after_ms must be >= 0");
   }
   quorum.validate();

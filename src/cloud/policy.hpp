@@ -190,8 +190,7 @@ struct ResiliencePolicy {
   RetryPolicy retry;
   RetryBudget budget;
   /// Hedging: reissue a straggling leaf request to a random other leaf
-  /// after this delay (0 = disabled).  Same semantics as the historical
-  /// ClusterConfig::hedge_after_ms, now unified with retries/timeouts.
+  /// after this delay (0 = disabled).
   double hedge_after_ms = 0;
   QuorumPolicy quorum;
   AdmissionPolicy admission;

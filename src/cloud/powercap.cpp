@@ -180,6 +180,9 @@ bool PowercapRuntime::admit(double now_ms) {
     ++stats_.shed_queries;
     return false;
   }
+  // Not cloud::TokenBucket: the governor retunes its rate and burst every
+  // window, and this refill's `* 1e-3` is not bit-identical to the
+  // bucket's `/ 1000.0`.
   admit_tokens_ = std::min(
       admit_burst_,
       admit_tokens_ + (now_ms - admit_last_ms_) * admit_rate_qps_ * 1e-3);

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "cloud/client.hpp"
 #include "cloud/qos.hpp"
 #include "cloud/queueing.hpp"
 #include "cloud/tail.hpp"
@@ -23,14 +24,13 @@ namespace {
   throw std::invalid_argument(std::string(strct) + "::" + field);
 }
 
-// Dedicated Rng sub-stream salts (cluster.cpp uses 0xB4EA/0xFA17 the
-// same way): each stochastic component draws from its own stream so
-// enabling one never perturbs the draws of another.
+// Dedicated Rng sub-stream salts (the breaker bank and cluster.cpp's
+// 0xFA17 work the same way): each stochastic component draws from its
+// own stream so enabling one never perturbs the draws of another.
 constexpr std::uint64_t kTrafficStream = 0x7F1C;
 constexpr std::uint64_t kWanTraceStream = 0xAB1E;
 constexpr std::uint64_t kWanJitterStream = 0x1A7E;
 constexpr std::uint64_t kServiceStreamBase = 0x5E00;  // + region index
-constexpr std::uint64_t kBreakerStream = 0xB4EA;
 
 }  // namespace
 
@@ -276,11 +276,12 @@ class MultiRegionSim {
         wan_(cfg.wan, cfg.duration_s * 1000.0,
              Rng(cfg.seed, kWanTraceStream).next()),
         wrng_(cfg.seed, kWanJitterStream),
-        brng_(cfg.seed, kBreakerStream) {
+        budget_(fo_.budget_ratio, fo_.budget_burst) {
     const auto nr = static_cast<unsigned>(cfg_.regions.size());
     stations_.reserve(nr);
     dists_.reserve(nr);
     srng_.reserve(nr);
+    caps_.reserve(nr);
     for (unsigned r = 0; r < nr; ++r) {
       const RegionConfig& rc = cfg_.regions[r];
       stations_.push_back(
@@ -290,17 +291,15 @@ class MultiRegionSim {
           rc.straggler_scale_ms, rc.straggler_alpha));
       srng_.emplace_back(cfg_.seed, kServiceStreamBase + r);
       qos_mult_.push_back(rc.qos_inflation());
-      cap_rate_qps_.push_back(fo_.admission_cap_frac * rc.capacity_qps());
+      caps_.emplace_back(fo_.admission_cap_frac * rc.capacity_qps(),
+                         fo_.admission_burst);
       mean_service_ms_.push_back(rc.mean_service_ms());
     }
     down_.assign(nr, 0);
     healthy_.assign(nr, 1);
     consec_fail_.assign(nr, 0);
     consec_ok_.assign(nr, 0);
-    cap_tokens_.assign(nr, fo_.admission_burst);
-    cap_last_ms_.assign(nr, 0.0);
-    if (fo_.breaker.enabled) breakers_.assign(nr, Breaker{});
-    btokens_ = fo_.budget_burst;
+    breakers_.init(fo_.breaker, nr, cfg_.seed);
 
     // Static preference orders: region indices by base origin->region
     // latency (ties by index).  Sticky routing pins the home region
@@ -396,6 +395,7 @@ class MultiRegionSim {
           s.busy_ms /
           (horizon_ms_ * static_cast<double>(cfg_.regions[r].servers));
     }
+    res_.breaker_open_transitions = breakers_.opens();
     res_.goodput_qps = static_cast<double>(res_.answered) / cfg_.duration_s;
     res_.attempt_amplification =
         res_.requests > 0 ? static_cast<double>(res_.attempts) /
@@ -421,19 +421,6 @@ class MultiRegionSim {
     std::uint32_t region = 0;  // current attempt's target
     std::uint32_t attempts = 0;
     des::EventHandle timeout;
-  };
-
-  /// Per-region circuit breaker (bit-window state machine, as
-  /// cluster.cpp keeps per leaf; CircuitBreakerPolicy caps window at 64).
-  struct Breaker {
-    enum State : std::uint8_t { kClosed, kOpen, kHalfOpen };
-    State state = kClosed;
-    std::uint64_t bits = 0;
-    std::uint32_t filled = 0;
-    std::uint32_t idx = 0;
-    std::uint32_t fails = 0;
-    std::uint32_t probes_left = 0;
-    double open_until = 0;
   };
 
   std::uint32_t alloc_rec() {
@@ -501,92 +488,6 @@ class MultiRegionSim {
 
   bool caps_on() const noexcept { return fo_.admission_cap_frac > 0; }
 
-  /// Take one admission token for region r (token bucket at the
-  /// balancer, rate = admission_cap_frac * capacity_qps).
-  bool cap_take(unsigned r) {
-    const double now = sim_.now();
-    cap_tokens_[r] =
-        std::min(fo_.admission_burst,
-                 cap_tokens_[r] +
-                     (now - cap_last_ms_[r]) * cap_rate_qps_[r] / 1000.0);
-    cap_last_ms_[r] = now;
-    if (cap_tokens_[r] < 1.0) return false;
-    cap_tokens_[r] -= 1.0;
-    return true;
-  }
-
-  void budget_credit() {
-    if (fo_.budget_enabled) {
-      btokens_ = std::min(fo_.budget_burst, btokens_ + fo_.budget_ratio);
-    }
-  }
-
-  bool budget_take() {
-    if (btokens_ < 1.0) return false;
-    btokens_ -= 1.0;
-    return true;
-  }
-
-  void breaker_open(Breaker& b) {
-    b.state = Breaker::kOpen;
-    b.open_until =
-        sim_.now() +
-        fo_.breaker.open_ms *
-            (1.0 + fo_.breaker.open_jitter_frac * brng_.uniform(-1.0, 1.0));
-    ++res_.breaker_open_transitions;
-  }
-
-  bool breaker_allows(unsigned r) {
-    Breaker& b = breakers_[r];
-    if (b.state == Breaker::kClosed) return true;
-    if (b.state == Breaker::kOpen) {
-      if (sim_.now() < b.open_until) return false;
-      b.state = Breaker::kHalfOpen;
-      b.probes_left = fo_.breaker.half_open_probes;
-    }
-    if (b.probes_left == 0) return false;
-    --b.probes_left;
-    return true;
-  }
-
-  void breaker_record(unsigned r, bool ok) {
-    if (!fo_.breaker.enabled) return;
-    Breaker& b = breakers_[r];
-    switch (b.state) {
-      case Breaker::kOpen:
-        return;
-      case Breaker::kHalfOpen:
-        if (ok) {
-          b = Breaker{};
-        } else {
-          breaker_open(b);
-        }
-        return;
-      case Breaker::kClosed: {
-        const CircuitBreakerPolicy& p = fo_.breaker;
-        const std::uint64_t bit = std::uint64_t{1} << b.idx;
-        if (b.filled == p.window) {
-          if (b.bits & bit) --b.fails;
-        } else {
-          ++b.filled;
-        }
-        if (ok) {
-          b.bits &= ~bit;
-        } else {
-          b.bits |= bit;
-          ++b.fails;
-        }
-        b.idx = (b.idx + 1) % p.window;
-        if (b.filled >= p.min_samples &&
-            static_cast<double>(b.fails) >=
-                p.failure_threshold * static_cast<double>(b.filled)) {
-          breaker_open(b);
-        }
-        return;
-      }
-    }
-  }
-
   // --- routing ------------------------------------------------------
 
   /// Candidate preference order for one request.  Latency/sticky use the
@@ -635,11 +536,11 @@ class MultiRegionSim {
     for (unsigned r : order) {
       if (rec.tried & (1u << r)) continue;
       if (!healthy_[r]) continue;
-      if (caps_on() && !cap_take(r)) {
+      if (caps_on() && !caps_[r].take(sim_.now())) {
         ++res_.regions[r].capped;
         continue;
       }
-      if (fo_.breaker.enabled && !breaker_allows(r)) {
+      if (breakers_.enabled() && !breakers_.allows(r, sim_.now())) {
         ++res_.breaker_short_circuits;
         continue;
       }
@@ -663,7 +564,8 @@ class MultiRegionSim {
     rec.origin = rq.origin;
     rec.tried = 0;
     rec.attempts = 0;
-    budget_credit();  // first attempts fund the retry budget
+    // First attempts fund the retry budget.
+    if (fo_.budget_enabled) budget_.credit();
     route_and_send(h);
   }
 
@@ -739,7 +641,7 @@ class MultiRegionSim {
     sim_.cancel(rec.timeout);
     rec.timeout = {};
     const std::uint32_t r = rec.region;
-    breaker_record(r, true);
+    breakers_.record(r, true, sim_.now());
     const double latency = sim_.now() - rec.t_arrival;
     res_.request_ms.add(latency);
     ++res_.answered;
@@ -756,7 +658,7 @@ class MultiRegionSim {
     sim_.cancel(rec.timeout);
     rec.timeout = {};
     ++rec.epoch;
-    breaker_record(rec.region, false);
+    breakers_.record(rec.region, false, sim_.now());
     retry(h);
   }
 
@@ -766,7 +668,7 @@ class MultiRegionSim {
     rec.timeout = {};
     ++res_.timeouts;
     ++rec.epoch;  // abandon the in-flight attempt
-    breaker_record(rec.region, false);
+    breakers_.record(rec.region, false, sim_.now());
     retry(h);
   }
 
@@ -777,7 +679,7 @@ class MultiRegionSim {
       free_rec(h);
       return;
     }
-    if (fo_.budget_enabled && !budget_take()) {
+    if (fo_.budget_enabled && !budget_.take()) {
       ++res_.budget_denials;
       ++res_.failed;
       free_rec(h);
@@ -808,21 +710,18 @@ class MultiRegionSim {
   des::Simulator sim_;
   Wan wan_;
   Rng wrng_;  // WAN jitter only
-  Rng brng_;  // breaker cooldown jitter only
   std::vector<std::unique_ptr<des::Resource>> stations_;
   std::vector<LatencyDist> dists_;
   std::vector<Rng> srng_;  // per-region service draws
   std::vector<double> qos_mult_;
-  std::vector<double> cap_rate_qps_;
+  std::vector<TokenBucket> caps_;  // per-region admission caps
   std::vector<double> mean_service_ms_;
   std::vector<char> down_;
   std::vector<char> healthy_;
   std::vector<unsigned> consec_fail_;
   std::vector<unsigned> consec_ok_;
-  std::vector<double> cap_tokens_;
-  std::vector<double> cap_last_ms_;
-  std::vector<Breaker> breakers_;
-  double btokens_ = 0;
+  BreakerBank breakers_;  // per-region breakers (own Rng stream)
+  RetryBudgetBucket budget_;
   std::vector<std::vector<unsigned>> pref_;
   std::vector<std::vector<unsigned>> sticky_pref_;
   std::vector<unsigned> scratch_order_;

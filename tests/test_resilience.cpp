@@ -311,29 +311,6 @@ TEST(ClusterResilience, QuorumDegradationTradesQualityForLatency) {
   EXPECT_GT(quorum.goodput_qps, full.goodput_qps * 1.2);
 }
 
-TEST(ClusterResilience, HedgeUnifiedWithPolicyEngine) {
-  ClusterConfig cfg;
-  cfg.leaves = 20;
-  cfg.duration_s = 5;
-  cfg.query_rate_hz = 30;
-  cfg.background_rate_hz = 50;
-  cfg.background_ms = 5;
-  cfg.policy.hedge_after_ms = 20;
-  const auto via_policy = cloud::simulate_cluster(cfg);
-  EXPECT_GT(via_policy.hedges, 0u);
-  EXPECT_DOUBLE_EQ(via_policy.hedge_fraction,
-                   static_cast<double>(via_policy.hedges) /
-                       static_cast<double>(via_policy.leaf_requests));
-  // Legacy knob routes into the same engine: identical results.
-  ClusterConfig legacy = cfg;
-  legacy.policy.hedge_after_ms = 0;
-  legacy.hedge_after_ms = 20;
-  const auto via_legacy = cloud::simulate_cluster(legacy);
-  EXPECT_EQ(via_legacy.hedges, via_policy.hedges);
-  EXPECT_DOUBLE_EQ(via_legacy.query_ms.quantile(0.99),
-                   via_policy.query_ms.quantile(0.99));
-}
-
 // ------------------------------------------------- multi-trial aggregate
 
 TEST(ClusterTrials, BitIdenticalAcrossPoolSizes) {
