@@ -1,7 +1,8 @@
 // Tests for the server-side overload-protection layer: bounded Resource
 // queues with pluggable disciplines (FIFO / adaptive LIFO / deadline
 // drop), admission control and load shedding at the query root,
-// per-replica circuit breakers, the fault burst + goodput-window
+// per-replica circuit breakers (the shared BreakerBank and token buckets
+// unit by unit, then end to end), the fault burst + goodput-window
 // instrumentation, and ClusterResult::merge() over the new telemetry.
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cloud/client.hpp"
 #include "cloud/cluster.hpp"
 #include "cloud/policy.hpp"
 #include "cloud/resilience.hpp"
@@ -270,6 +272,163 @@ TEST(OverloadPolicies, BreakerRequiresTimeout) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p.retry.timeout_ms = 10;
   EXPECT_NO_THROW(p.validate());
+}
+
+// ------------------------------------------- client core, unit by unit
+
+// Window of 4, opens at half failures once 4 outcomes are in, exact
+// 10 ms cooldown (no jitter), two half-open probes.
+cloud::CircuitBreakerPolicy unit_breaker() {
+  cloud::CircuitBreakerPolicy p;
+  p.enabled = true;
+  p.window = 4;
+  p.min_samples = 4;
+  p.failure_threshold = 0.5;
+  p.open_ms = 10;
+  p.open_jitter_frac = 0;
+  p.half_open_probes = 2;
+  return p;
+}
+
+/// A bank of `n` breakers with replica 0 tripped open at t = 5 ms.
+cloud::BreakerBank tripped_bank(unsigned n = 2) {
+  cloud::BreakerBank bank;
+  bank.init(unit_breaker(), n, 7);
+  for (int i = 0; i < 4; ++i) bank.record(0, false, 5);
+  return bank;
+}
+
+TEST(BreakerBank, DisabledBankIgnoresOutcomes) {
+  cloud::BreakerBank bank;
+  bank.init(cloud::CircuitBreakerPolicy{}, 3, 7);
+  EXPECT_FALSE(bank.enabled());
+  for (int i = 0; i < 100; ++i) bank.record(1, false, i);
+  EXPECT_EQ(bank.opens(), 0u);
+}
+
+TEST(BreakerBank, OpensExactlyAtMinSamplesAndThreshold) {
+  cloud::BreakerBank bank;
+  bank.init(unit_breaker(), 2, 7);
+  // Three failures are 100% of the window, but below min_samples.
+  for (int i = 0; i < 3; ++i) bank.record(0, false, 1);
+  EXPECT_FALSE(bank.is_open(0));
+  EXPECT_TRUE(bank.allows(0, 1));
+  // The fourth outcome reaches min_samples: 3/4 >= 0.5 opens.
+  bank.record(0, true, 2);
+  EXPECT_TRUE(bank.is_open(0));
+  EXPECT_EQ(bank.opens(), 1u);
+  // Replica 1: one failure in four stays closed; exactly half opens.
+  bank.record(1, true, 1);
+  bank.record(1, true, 1);
+  bank.record(1, false, 1);
+  EXPECT_FALSE(bank.is_open(1));
+  bank.record(1, false, 1);  // 2 of 4 == threshold * filled
+  EXPECT_TRUE(bank.is_open(1));
+  EXPECT_EQ(bank.opens(), 2u);
+}
+
+TEST(BreakerBank, WindowSlidesOutOldOutcomes) {
+  auto p = unit_breaker();
+  p.failure_threshold = 0.75;
+  cloud::BreakerBank bank;
+  bank.init(p, 1, 7);
+  for (int i = 0; i < 4; ++i) bank.record(0, true, 1);
+  bank.record(0, false, 1);
+  bank.record(0, false, 1);  // window: 2 failures, 2 successes
+  EXPECT_FALSE(bank.is_open(0));
+  // Only a sliding window reaches 3/4 here; cumulatively it is 3/7.
+  bank.record(0, false, 1);
+  EXPECT_TRUE(bank.is_open(0));
+}
+
+TEST(BreakerBank, HalfOpenOnlyAfterCooldownAndGrantsProbes) {
+  cloud::BreakerBank bank = tripped_bank();
+  EXPECT_FALSE(bank.allows(0, 5));
+  EXPECT_FALSE(bank.allows(0, 14.999));
+  EXPECT_EQ(bank.probes(), 0u);
+  // Outcomes while open are ignored: the cooldown alone decides.
+  bank.record(0, true, 10);
+  EXPECT_TRUE(bank.is_open(0));
+  EXPECT_TRUE(bank.allows(0, 15));  // half-open, probe 1
+  EXPECT_FALSE(bank.is_open(0));
+  EXPECT_TRUE(bank.allows(0, 15));  // probe 2
+  EXPECT_FALSE(bank.allows(0, 16));  // probes used up
+  EXPECT_EQ(bank.probes(), 2u);
+  EXPECT_DOUBLE_EQ(bank.open_ms(), 10.0);
+  EXPECT_TRUE(bank.allows(1, 16));  // other replicas unaffected
+}
+
+TEST(BreakerBank, HalfOpenSuccessClosesWithFreshWindow) {
+  cloud::BreakerBank bank = tripped_bank();
+  ASSERT_TRUE(bank.allows(0, 15));
+  bank.record(0, true, 16);
+  EXPECT_FALSE(bank.is_open(0));
+  EXPECT_EQ(bank.probes(), 1u);
+  EXPECT_TRUE(bank.allows(0, 16));  // closed: no probe slot consumed
+  EXPECT_EQ(bank.probes(), 1u);
+  // The old failures are gone: three new ones are below min_samples.
+  for (int i = 0; i < 3; ++i) bank.record(0, false, 17);
+  EXPECT_FALSE(bank.is_open(0));
+  bank.record(0, false, 17);
+  EXPECT_TRUE(bank.is_open(0));
+  EXPECT_EQ(bank.opens(), 2u);
+}
+
+TEST(BreakerBank, HalfOpenFailureReopensWithFreshCooldown) {
+  cloud::BreakerBank bank = tripped_bank();
+  ASSERT_TRUE(bank.allows(0, 15));
+  bank.record(0, false, 20);
+  EXPECT_TRUE(bank.is_open(0));
+  EXPECT_EQ(bank.opens(), 2u);
+  EXPECT_FALSE(bank.allows(0, 29.999));
+  EXPECT_TRUE(bank.allows(0, 30));
+}
+
+TEST(BreakerBank, OpenTimeIsClosedOutAtEndOfRun) {
+  cloud::BreakerBank mid = tripped_bank();
+  mid.finish(12);  // run ends inside the cooldown
+  EXPECT_DOUBLE_EQ(mid.open_ms(), 7.0);
+  cloud::BreakerBank late = tripped_bank();
+  late.finish(100);  // never re-probed: counted up to the cooldown end
+  EXPECT_DOUBLE_EQ(late.open_ms(), 10.0);
+}
+
+TEST(BreakerBank, RedirectFindsAnAdmittingReplicaOrNone) {
+  cloud::BreakerBank bank = tripped_bank(1);
+  EXPECT_EQ(bank.redirect(6), cloud::BreakerBank::kNone);
+  cloud::BreakerBank two = tripped_bank(2);
+  // Replica 1 is closed; three draws over two replicas find it unless
+  // all three land on the open one.
+  const unsigned alt = two.redirect(6);
+  EXPECT_TRUE(alt == 1u || alt == cloud::BreakerBank::kNone);
+}
+
+TEST(TokenBucket, StartsFullRefillsOverTimeAndCapsAtBurst) {
+  cloud::TokenBucket b(1000.0, 3);  // one token per ms, 3 deep
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(b.take(0));
+  EXPECT_FALSE(b.take(0));
+  EXPECT_FALSE(b.take(0.5));  // half a token is not a token
+  EXPECT_TRUE(b.take(1.0));
+  EXPECT_FALSE(b.take(1.0));
+  // A long idle spell refills to the burst, not beyond it.
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(b.take(1e6));
+  EXPECT_FALSE(b.take(1e6));
+  EXPECT_LT(b.tokens(), 1.0);
+}
+
+TEST(RetryBudgetBucket, CreditsCapAtBurstAndRetriesTakeWholeTokens) {
+  cloud::RetryBudgetBucket b(0.5, 2);
+  EXPECT_TRUE(b.take());
+  EXPECT_TRUE(b.take());
+  EXPECT_FALSE(b.take());
+  b.credit();
+  EXPECT_FALSE(b.take());  // 0.5 tokens
+  b.credit();
+  EXPECT_TRUE(b.take());
+  for (int i = 0; i < 100; ++i) b.credit();  // capped at 2
+  EXPECT_TRUE(b.take());
+  EXPECT_TRUE(b.take());
+  EXPECT_FALSE(b.take());
 }
 
 TEST(OverloadPolicies, ClusterConfigValidatesBurstAndWindows) {
