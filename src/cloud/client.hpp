@@ -66,8 +66,6 @@ class TokenBucket {
     return true;
   }
 
-  double tokens() const noexcept { return tokens_; }
-
  private:
   double tokens_ = 0;
   double last_ms_ = 0;
@@ -204,9 +202,6 @@ class BreakerBank {
     }
   }
 
-  bool is_open(unsigned r) const noexcept {
-    return b_[r].state == Breaker::kOpen;
-  }
   std::uint64_t opens() const noexcept { return opens_; }
   std::uint64_t probes() const noexcept { return probes_; }
   /// Summed per-replica milliseconds spent open.

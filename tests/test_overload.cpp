@@ -311,19 +311,19 @@ TEST(BreakerBank, OpensExactlyAtMinSamplesAndThreshold) {
   bank.init(unit_breaker(), 2, 7);
   // Three failures are 100% of the window, but below min_samples.
   for (int i = 0; i < 3; ++i) bank.record(0, false, 1);
-  EXPECT_FALSE(bank.is_open(0));
   EXPECT_TRUE(bank.allows(0, 1));
+  EXPECT_EQ(bank.opens(), 0u);
   // The fourth outcome reaches min_samples: 3/4 >= 0.5 opens.
   bank.record(0, true, 2);
-  EXPECT_TRUE(bank.is_open(0));
+  EXPECT_FALSE(bank.allows(0, 2));
   EXPECT_EQ(bank.opens(), 1u);
   // Replica 1: one failure in four stays closed; exactly half opens.
   bank.record(1, true, 1);
   bank.record(1, true, 1);
   bank.record(1, false, 1);
-  EXPECT_FALSE(bank.is_open(1));
+  EXPECT_TRUE(bank.allows(1, 1));
   bank.record(1, false, 1);  // 2 of 4 == threshold * filled
-  EXPECT_TRUE(bank.is_open(1));
+  EXPECT_FALSE(bank.allows(1, 1));
   EXPECT_EQ(bank.opens(), 2u);
 }
 
@@ -331,14 +331,21 @@ TEST(BreakerBank, WindowSlidesOutOldOutcomes) {
   auto p = unit_breaker();
   p.failure_threshold = 0.75;
   cloud::BreakerBank bank;
-  bank.init(p, 1, 7);
+  bank.init(p, 2, 7);
   for (int i = 0; i < 4; ++i) bank.record(0, true, 1);
   bank.record(0, false, 1);
   bank.record(0, false, 1);  // window: 2 failures, 2 successes
-  EXPECT_FALSE(bank.is_open(0));
+  EXPECT_EQ(bank.opens(), 0u);
   // Only a sliding window reaches 3/4 here; cumulatively it is 3/7.
   bank.record(0, false, 1);
-  EXPECT_TRUE(bank.is_open(0));
+  EXPECT_EQ(bank.opens(), 1u);
+  // Old failures slide out too: 4 failures in 8 outcomes, but only 2 of
+  // them are still in the window.
+  for (const bool ok : {false, false, true, true, true, true, false, false}) {
+    bank.record(1, ok, 1);
+  }
+  EXPECT_EQ(bank.opens(), 1u);
+  EXPECT_TRUE(bank.allows(1, 1));
 }
 
 TEST(BreakerBank, HalfOpenOnlyAfterCooldownAndGrantsProbes) {
@@ -348,9 +355,8 @@ TEST(BreakerBank, HalfOpenOnlyAfterCooldownAndGrantsProbes) {
   EXPECT_EQ(bank.probes(), 0u);
   // Outcomes while open are ignored: the cooldown alone decides.
   bank.record(0, true, 10);
-  EXPECT_TRUE(bank.is_open(0));
+  EXPECT_FALSE(bank.allows(0, 10));
   EXPECT_TRUE(bank.allows(0, 15));  // half-open, probe 1
-  EXPECT_FALSE(bank.is_open(0));
   EXPECT_TRUE(bank.allows(0, 15));  // probe 2
   EXPECT_FALSE(bank.allows(0, 16));  // probes used up
   EXPECT_EQ(bank.probes(), 2u);
@@ -362,15 +368,15 @@ TEST(BreakerBank, HalfOpenSuccessClosesWithFreshWindow) {
   cloud::BreakerBank bank = tripped_bank();
   ASSERT_TRUE(bank.allows(0, 15));
   bank.record(0, true, 16);
-  EXPECT_FALSE(bank.is_open(0));
   EXPECT_EQ(bank.probes(), 1u);
   EXPECT_TRUE(bank.allows(0, 16));  // closed: no probe slot consumed
+  EXPECT_TRUE(bank.allows(0, 16));
   EXPECT_EQ(bank.probes(), 1u);
   // The old failures are gone: three new ones are below min_samples.
   for (int i = 0; i < 3; ++i) bank.record(0, false, 17);
-  EXPECT_FALSE(bank.is_open(0));
+  EXPECT_EQ(bank.opens(), 1u);
   bank.record(0, false, 17);
-  EXPECT_TRUE(bank.is_open(0));
+  EXPECT_FALSE(bank.allows(0, 17));
   EXPECT_EQ(bank.opens(), 2u);
 }
 
@@ -378,7 +384,6 @@ TEST(BreakerBank, HalfOpenFailureReopensWithFreshCooldown) {
   cloud::BreakerBank bank = tripped_bank();
   ASSERT_TRUE(bank.allows(0, 15));
   bank.record(0, false, 20);
-  EXPECT_TRUE(bank.is_open(0));
   EXPECT_EQ(bank.opens(), 2u);
   EXPECT_FALSE(bank.allows(0, 29.999));
   EXPECT_TRUE(bank.allows(0, 30));
@@ -413,7 +418,6 @@ TEST(TokenBucket, StartsFullRefillsOverTimeAndCapsAtBurst) {
   // A long idle spell refills to the burst, not beyond it.
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(b.take(1e6));
   EXPECT_FALSE(b.take(1e6));
-  EXPECT_LT(b.tokens(), 1.0);
 }
 
 TEST(RetryBudgetBucket, CreditsCapAtBurstAndRetriesTakeWholeTokens) {
