@@ -150,19 +150,23 @@ TEST(PdesEngine, RunUntilAlignsClocksAndResumes) {
   spec.lookahead = 1.0;
   ThreadPool pool(2);
   ParallelEngine eng(spec, pool);
-  std::vector<double> fired;
+  // One log per LP: the two LPs run on different workers at once.
+  std::vector<double> fired[2];
   for (std::uint32_t i = 0; i < 2; ++i) {
     eng.lp(i).set_handler([](auto&, const Payload&) {});
     for (const double t : {1.0, 2.0, 3.0}) {
       auto& lp = eng.lp(i);
-      lp.sim().schedule_at(t, [&fired, &lp] { fired.push_back(lp.now()); });
+      auto& log = fired[i];
+      lp.sim().schedule_at(t, [&log, &lp] { log.push_back(lp.now()); });
     }
   }
   EXPECT_EQ(eng.run(2.5), 4u);  // t=1 and t=2 on both LPs
   EXPECT_EQ(eng.lp(0).now(), 2.5);  // horizon alignment, like Simulator::run
   EXPECT_EQ(eng.lp(1).now(), 2.5);
   EXPECT_EQ(eng.run(), 2u);  // resumes: the two t=3 events remain
-  EXPECT_EQ(fired.size(), 6u);
+  for (const auto& log : fired) {
+    EXPECT_EQ(log, (std::vector<double>{1.0, 2.0, 3.0}));
+  }
 }
 
 TEST(PdesEngine, CrossLpCancelAcrossWindowBoundary) {
