@@ -34,7 +34,6 @@
 // engine and any worker count.
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
