@@ -22,9 +22,10 @@
 //   void transmit(const QueryRef&, const CallRef&, double service_ms,
 //                 unsigned leaf);  -- deliver one attempt to a leaf
 //   bool engine_admits();          -- optional pre-admission gate
-// and it resolves replies and rejects through call_answered() and
-// note_reject().  Each engine calls the setup steps in its own order,
-// because the order of same-instant events depends on it.
+// and it resolves replies and rejects through note_reply(),
+// call_answered() and note_reject().  Each engine calls the setup steps
+// in its own order, because the order of same-instant events depends on
+// it.
 
 #include <algorithm>
 #include <cmath>
@@ -667,8 +668,10 @@ class ClusterClient {
   /// Client-side books, once the run has drained: queries that neither
   /// completed nor resolved at a deadline (e.g. a reply lost to a crash
   /// with no timeout armed) are failures too; breakers still open close
-  /// their books at `end_ms`; the gray detector's counters fold in.
-  void finish_client(double end_ms) {
+  /// their books at `end_ms`; the gray detector's counters fold in; and
+  /// the per-trial ratios are taken, with `util` the engine's summed
+  /// per-leaf busy_time / horizon.
+  void finish_client(double end_ms, double util) {
     res_.queries = started_;
     res_.failed_queries += started_ - res_.ok_queries -
                            res_.degraded_queries - res_.failed_queries;
@@ -683,11 +686,6 @@ class ClusterClient {
       res_.adaptive_deadline_ms =
           pol_.gray.adaptive_deadline ? gdet_.timeout_ms() : 0;
     }
-  }
-
-  /// The per-trial ratios, from the engine's summed per-leaf
-  /// busy_time / horizon.
-  void finish_ratios(double util) {
     res_.mean_leaf_utilization = util / static_cast<double>(cfg_.leaves);
     res_.hedge_fraction =
         res_.leaf_requests ? static_cast<double>(res_.hedges) /

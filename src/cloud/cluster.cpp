@@ -665,11 +665,12 @@ ClusterResult ClusterSim::run() {
 
   sim_.run();
 
-  finish_client(sim_.now());
   // Server-side drop totals live in the leaves; fold them in once.
+  double util = 0;
   for (const auto& leaf : leaves_) {
     res_.rejected_requests += leaf->rejected();
     res_.expired_drops += leaf->expired();
+    util += leaf->busy_time() / horizon_ms_;
   }
   // Fold the powercap engine's telemetry in once.
   if (pcap_) {
@@ -682,11 +683,7 @@ ClusterResult ClusterSim::run() {
     res_.peak_window_w = ps.peak_window_w;
     res_.energy_j_per_window = ps.energy_j_per_window;
   }
-  double util = 0;
-  for (const auto& leaf : leaves_) {
-    util += leaf->busy_time() / horizon_ms_;
-  }
-  finish_ratios(util);
+  finish_client(sim_.now(), util);
 #if ARCH21_OBS_ENABLED
   publish_metrics();
 #endif

@@ -441,7 +441,6 @@ ClusterResult PdesClusterSim<Engine>::run() {
   for (std::uint32_t i = 0; i < eng_.lps(); ++i) {
     end = std::max(end, eng_.lp(i).now());
   }
-  this->finish_client(end);
   // Server-side folds, in global leaf order (deterministic).
   double util = 0;
   for (const Group& grp : grps_) {
@@ -452,7 +451,7 @@ ClusterResult PdesClusterSim<Engine>::run() {
       util += leaf->busy_time() / horizon_ms_;
     }
   }
-  this->finish_ratios(util);
+  this->finish_client(end, util);
 #if ARCH21_OBS_ENABLED
   publish_metrics();
 #endif
