@@ -17,6 +17,12 @@
 //     On smaller hosts the speedup is reported but not gated.
 // `--smoke` shrinks the workloads and runs only the determinism checks
 // (for tier1.sh, including under TSan).  Emits BENCH_pdes.json.
+//
+// Every parallel row also reports the worker team's PDES efficiency:
+// busy time / (busy + barrier-wait time), summed over team members, from
+// one extra untimed run per row (ParallelEngine::member_times for the
+// mesh, the published pdes.team.* metrics for the cluster).  It is
+// host-timed context for the speedup numbers, not a gate.
 
 #include <algorithm>
 #include <chrono>
@@ -34,6 +40,7 @@
 #include "des/partition.hpp"
 #include "des/pdes.hpp"
 #include "des/pdes_workload.hpp"
+#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -49,8 +56,55 @@ struct Row {
   std::uint64_t events = 0;
   double seconds = 0;
   bool identical = true;  // vs the workers=0 reference (trivially true there)
+  double efficiency = -1;  // team busy / (busy + wait); < 0: no team
   double mev_s() const { return seconds > 0 ? events / seconds / 1e6 : 0; }
 };
+
+/// Team efficiency, busy / (busy + barrier wait) over all members; -1
+/// when nothing was timed.
+double efficiency(std::uint64_t busy_ns, std::uint64_t wait_ns) {
+  const double total = static_cast<double>(busy_ns + wait_ns);
+  return total > 0 ? busy_ns / total : -1;
+}
+
+// The efficiency of a row comes from one extra, untimed run, so the timed
+// repeats run exactly the code they ran before the team clocks existed.
+
+double metered_mesh_efficiency(const des::PartitionSpec& spec,
+                               ThreadPool& pool, double horizon,
+                               unsigned work) {
+  des::ParallelEngine eng(spec, pool);
+  des::run_pdes_mesh(eng, kSeed, horizon, work);
+  std::uint64_t busy = 0, wait = 0;
+  for (const auto& t : eng.member_times()) {
+    busy += t.busy_ns;
+    wait += t.wait_ns;
+  }
+  return efficiency(busy, wait);
+}
+
+/// The engine is internal to simulate_cluster_pdes, so this reads the
+/// pdes.team.* counters it publishes; the registry is on only for this
+/// run, because it also records per-query samples.
+double metered_cluster_efficiency(const cloud::ClusterConfig& cfg) {
+#if ARCH21_OBS_ENABLED
+  auto& m = obs::MetricsRegistry::global();
+  m.reset();
+  m.set_enabled(true);
+  cloud::simulate_cluster_pdes(cfg);
+  m.set_enabled(false);
+  std::uint64_t busy = 0, wait = 0;
+  for (const auto& e : m.snapshot().entries) {
+    if (e.name == "pdes.team.busy_ns") busy = e.count;
+    if (e.name == "pdes.team.wait_ns") wait = e.count;
+  }
+  m.reset();
+  return efficiency(busy, wait);
+#else
+  (void)cfg;
+  return -1;
+#endif
+}
 
 template <typename Fn>
 double best_seconds(int reps, Fn&& fn) {
@@ -165,6 +219,7 @@ int main(int argc, char** argv) {
     r1.seconds = best_w1;
     r1.events = got1.executed;
     r1.identical = got1 == mesh_ref;
+    r1.efficiency = metered_mesh_efficiency(spec, pool1, horizon, work);
     rows.push_back(r1);
   }
   for (const unsigned workers : kWorkerCounts) {
@@ -180,6 +235,7 @@ int main(int argc, char** argv) {
     });
     r.events = got.executed;
     r.identical = got == mesh_ref;
+    r.efficiency = metered_mesh_efficiency(spec, pool, horizon, work);
     rows.push_back(r);
   }
 
@@ -215,6 +271,7 @@ int main(int argc, char** argv) {
         best_seconds(reps, [&] { got = cloud::simulate_cluster_pdes(cfg); });
     r.events = got.leaf_requests;
     r.identical = same_cluster_result(got, cluster_ref);
+    r.efficiency = metered_cluster_efficiency(cfg);
     rows.push_back(r);
   }
 
@@ -232,7 +289,9 @@ int main(int argc, char** argv) {
                                  : std::to_string(r.workers))
               << ": " << r.events << " events in " << r.seconds << " s ("
               << r.mev_s() << " Mev/s), result "
-              << (r.identical ? "identical" : "DIVERGED") << "\n";
+              << (r.identical ? "identical" : "DIVERGED");
+    if (r.efficiency >= 0) std::cout << ", efficiency " << r.efficiency;
+    std::cout << "\n";
   }
 
   // Gate on the *median* per-round ratio: every round timed serial and
@@ -278,8 +337,13 @@ int main(int argc, char** argv) {
     const Row& r = rows[i];
     out << "    {\"name\": \"" << r.name << "\", \"workers\": " << r.workers
         << ", \"events\": " << r.events << ", \"seconds\": " << r.seconds
-        << ", \"mev_per_sec\": " << r.mev_s()
-        << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
+        << ", \"mev_per_sec\": " << r.mev_s() << ", \"efficiency\": ";
+    if (r.efficiency >= 0) {
+      out << r.efficiency;
+    } else {
+      out << "null";
+    }
+    out << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

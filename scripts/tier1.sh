@@ -42,6 +42,12 @@ for t in test_thread_pool test_cloud_tail test_parallel_determinism \
   echo "-- tsan: $t"
   TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/$t"
 done
+# The PDES worker team spins and parks at every window barrier;
+# repeating the engine and cluster tests gives TSan many interleavings of
+# those hand-offs, not just one.
+echo "-- tsan: test_pdes stress (20 repeats)"
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_pdes \
+  --gtest_repeat=20 --gtest_filter='PdesEngine.*:ClusterPdes.*'
 echo "-- tsan: bench_des_queue --smoke"
 (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ./bench/bench_des_queue --smoke)
 echo "-- tsan: bench_pdes --smoke"

@@ -2,11 +2,12 @@
 // One logical process (LP) of the conservative PDES engine: a private
 // des::Simulator (its own ladder queue, action slab, and cancellation
 // table -- no state shared with any other LP), a scenario-installed
-// message handler, and one outbound mailbox per peer LP.  During a
-// window's parallel phase an LP runs entirely on one pool task; the only
-// cross-LP traffic is send(), which appends to an outbound mailbox the
-// engine drains serially at the next window barrier (see
-// des/mailbox.hpp for why that needs no synchronization).
+// message handler, and two outbound mailboxes per peer LP (one per
+// window parity).  During a window an LP runs entirely on the one team
+// member that owns it; the only cross-LP traffic is send(), which
+// appends to this window's outbound mailbox, and the destination pulls
+// it in its next window (see des/mailbox.hpp for why that needs no
+// synchronization).
 
 #include <cstdint>
 #include <functional>
@@ -54,13 +55,21 @@ class Lp {
   friend class ParallelEngine;
 
   Lp(ParallelEngine* engine, std::uint32_t id, std::uint32_t lps)
-      : engine_(engine), id_(id), out_(lps) {}
+      : engine_(engine), id_(id), out_{Outbox(lps), Outbox(lps)} {}
 
-  /// One window's work on this LP (parallel phase): extract the pending
-  /// messages due by `end`, sort them canonically, schedule them in one
-  /// schedule_n() batch, then run the kernel through `end` (inclusive,
-  /// matching Simulator::run).
-  void commit_and_run(Time end);
+  /// One window's fused phase on this LP (see des/pdes.hpp): pull the
+  /// inbound column from buffer `parity ^ 1` of every source's outbox,
+  /// commit_and_run(end), then publish bound_.
+  void run_window(Time end, unsigned parity);
+
+  /// Extract the pending messages due by `end`, sort them canonically,
+  /// schedule them in one schedule_n() batch, then run the kernel
+  /// through `end` (inclusive, matching Simulator::run).  Returns the
+  /// earliest message left pending.
+  Time commit_and_run(Time end);
+
+  /// Append outbox buffer `parity` of every source LP to pending_.
+  void pull(unsigned parity);
 
   ParallelEngine* engine_;
   std::uint32_t id_ = 0;
@@ -69,8 +78,12 @@ class Lp {
   std::uint64_t delivered_ = 0;
   Simulator sim_;
   Handler handler_;
-  std::vector<Mailbox> out_;     // out_[d]: outbound messages for LP d
-  std::vector<Message> pending_; // drained inbound awaiting commit
+  using Outbox = std::vector<Mailbox>;
+  Outbox out_[2];                // out_[parity][d]: outbound for LP d
+  Time sent_min_ = Simulator::kForever;  // earliest send this window
+  Time bound_ = Simulator::kForever;     // published lower bound
+  std::size_t pulled_ = 0;       // pending_ size after this window's pull
+  std::vector<Message> pending_; // pulled inbound awaiting commit
   std::vector<Message> batch_;   // commit scratch (retained capacity)
   std::vector<Simulator::TimedAction> span_;  // schedule_n scratch
 };

@@ -1,12 +1,13 @@
 #pragma once
 // Cross-LP message plumbing for the conservative PDES engine
-// (des/pdes.hpp).  A mailbox is a plain vector: single-producer (the
-// source LP, during the parallel window phase) / single-consumer (the
-// engine's serial drain at the window barrier), with the phases strictly
-// separated by ThreadPool::parallel_run's completion barrier.  That
-// barrier is the happens-before edge, so the mailboxes need no atomics
-// and run TSan-clean -- "SPSC by phase discipline", not by lock-free
-// machinery.
+// (des/pdes.hpp).  A mailbox is a plain vector holding one (src, dst)
+// pair's messages for one window parity.  Each source keeps two per
+// destination: in window k the source appends to buffer k%2 while the
+// destination pulls and clears buffer (k-1)%2, so no buffer has both a
+// writer and a reader in one phase.  The window barrier between the
+// phases is the happens-before edge that hands a buffer from its writer
+// to its reader, so the mailboxes need no atomics and run TSan-clean --
+// "SPSC by parity discipline", not by lock-free machinery.
 
 #include <cstdint>
 #include <vector>
@@ -45,7 +46,7 @@ struct Message {
 /// window's commit batch is sorted by this before scheduling, so the
 /// delivery order of simultaneous arrivals is a pure function of the
 /// messages themselves -- never of worker count, thread timing, or
-/// drain/append order.  Two sources sending at the bit-identical instant
+/// pull/append order.  Two sources sending at the bit-identical instant
 /// are common, not rare: with a constant link latency, leaf groups that
 /// finish work at the same time answer the root at the same time.  The
 /// (src, seq) tie-break decides them, and the serial loopback engine
@@ -60,7 +61,7 @@ struct MessageEarlier {
   }
 };
 
-/// Per-(src, dst) pair mailbox -- see the file comment for the phase
+/// Per-(src, dst, parity) mailbox -- see the file comment for the parity
 /// discipline that makes a bare vector safe.
 using Mailbox = std::vector<Message>;
 

@@ -1,32 +1,47 @@
 #pragma once
 // Conservative parallel DES (PDES) engine: shards one scenario across
-// logical processes (des/lp.hpp) executed by the work-stealing
-// ThreadPool under window synchronization.
+// logical processes (des/lp.hpp) executed by a persistent worker team
+// under window synchronization.
 //
-// Window algorithm (one iteration of ParallelEngine::run's loop):
-//   1. barrier drain (serial): move every (src, dst) mailbox into the
-//      destination LP's pending buffer.  parallel_run's return is the
-//      happens-before edge, so this is race-free without atomics.
-//   2. horizon: tmin = min over LPs of (kernel head time, pending
-//      message times).  If tmin > until, the run is complete.
-//   3. window end = min(until, tmin + lookahead).  Every cross-LP send
-//      has delay >= lookahead, so no event executing in [tmin, end] can
-//      cause an arrival at or before `end` that is not already pending
-//      -- the conservative-safety invariant.
-//   4. parallel phase: each LP independently commits its due messages
-//      (sorted canonically, scheduled via one schedule_n batch) and runs
-//      its private kernel through `end` (Lp::commit_and_run).
+// The team: each run() call submits T-1 long-lived member tasks to the
+// ThreadPool the engine was built with, and the calling thread is member
+// 0, so the pool stays the only owner of threads.  T = min(pool size, LP
+// count, hardware threads); LP i belongs to member i mod T for the whole
+// run.  Members meet once per window at a sense-reversing barrier where
+// a waiter spins (yielding its core now and then), and only after a
+// bounded time parks on std::atomic::wait.
+//
+// One window is one fused phase per LP (Lp::run_window), then the
+// barrier:
+//   1. pull: move my inbound column -- the messages every source LP sent
+//      me last window -- into my pending buffer.  Outboxes are double-
+//      buffered by window parity: window k writes buffer k%2 and reads
+//      buffer (k-1)%2, so no buffer is written and read in one phase.
+//   2. commit_and_run(end): commit the pending messages due by `end` in
+//      canonical MessageEarlier order (one schedule_n batch), then run
+//      the private kernel through `end`.
+//   3. publish my lower bound: min(kernel head, earliest leftover
+//      pending message, earliest message I sent this window).
+// The last member to arrive at the barrier reduces the published bounds
+// in LP-index order into tmin, and either ends the run (tmin > until) or
+// sets the next window end = min(until, tmin + lookahead), flips the
+// parity and counts the window.  Every cross-LP send has delay >=
+// lookahead, so no event executing in [tmin, end] can cause an arrival
+// at or before `end` that is not already in flight -- the
+// conservative-safety invariant.  The barrier's acquire/release pair is
+// the happens-before edge between a window's writes and the next
+// window's reads, so mailboxes and published bounds are plain memory.
 //
 // Why determinism survives (DESIGN.md "Parallel kernel" has the long
-// form): the drain collects *all* messages produced by completed
-// windows, so the pending sets -- and from them tmin, the window end,
-// each LP's commit batch, and the canonical (t, sent_at, src, seq) batch
-// order -- are pure functions of simulation state, never of thread
-// timing.  LPs share no mutable state during the parallel phase, each
-// kernel executes in its own (t, seq) order, and end-of-run folds
-// (stats, ClusterResult merges) walk LPs in index order.  Results are
-// therefore bit-identical at any worker count, pinned by
-// tests/test_pdes.cpp differentially against LoopbackEngine below.
+// form): the published bounds cover every message in flight, so tmin,
+// the window end, each LP's commit batch, and the canonical (t, sent_at,
+// src, seq) batch order are pure functions of simulation state, never of
+// thread timing or of which member ran which LP.  LPs share no mutable
+// state during a phase, each kernel executes in its own (t, seq) order,
+// and end-of-run folds (stats, ClusterResult merges) walk LPs in index
+// order.  Results are therefore bit-identical at any worker count,
+// pinned by tests/test_pdes.cpp differentially against LoopbackEngine
+// below.
 //
 // LoopbackEngine is that serial reference: the identical scenario-facing
 // surface (lps / lp(i) / send / handler / run) backed by ONE unchanged
@@ -37,9 +52,12 @@
 // both -- the ReferenceSimulator pattern from the ladder-queue PR lifted
 // one level up.
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "des/lp.hpp"
@@ -64,10 +82,21 @@ class ParallelEngine {
     std::uint64_t cancelled = 0;    ///< sum of LP kernels' cancelled()
   };
 
+  /// Host-timed cost of one team member, summed over its windows: time
+  /// spent running its LPs' phases and time spent at the barrier.  Wall
+  /// clock, so -- unlike Stats -- it varies from run to run.
+  struct MemberTime {
+    std::uint64_t busy_ns = 0;
+    std::uint64_t wait_ns = 0;
+  };
+
   /// `spec` is validated (throws on lookahead <= 0); `pool` supplies the
-  /// workers -- pass a 1-thread pool for a serial parallel engine (same
-  /// results, by contract).
+  /// team members -- pass a 1-thread pool for a serial parallel engine
+  /// (same results, by contract).  The pool must outlive the engine, and
+  /// run() occupies team_size() - 1 of its workers until it returns.
   ParallelEngine(const PartitionSpec& spec, ThreadPool& pool);
+  ParallelEngine(const ParallelEngine&) = delete;
+  ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   std::uint32_t lps() const noexcept {
     return static_cast<std::uint32_t>(lps_.size());
@@ -78,9 +107,21 @@ class ParallelEngine {
   /// Run every LP until all of them are quiet past `until` (or forever
   /// on the default).  Returns events executed by this call.  May be
   /// called repeatedly with increasing horizons, like Simulator::run.
+  /// An exception thrown by an event handler stops the team at the next
+  /// barrier and is rethrown here (the first one, if several LPs throw);
+  /// the engine is then only fit to be destroyed.
   std::uint64_t run(Time until = Simulator::kForever);
 
   Stats stats() const;
+
+  /// Team members used by run(): min(pool size, LP count, hardware
+  /// threads).
+  unsigned team_size() const noexcept {
+    return static_cast<unsigned>(member_times_.size());
+  }
+  /// Per-member busy / barrier-wait time, member 0 (the caller) first,
+  /// accumulated over every run() call.
+  std::vector<MemberTime> member_times() const;
 
   /// Total events executed / cancelled across LPs (id order).
   std::uint64_t executed() const;
@@ -89,21 +130,58 @@ class ParallelEngine {
 #if ARCH21_OBS_ENABLED
   /// Publish run counters into the global metrics registry
   /// (pdes.window.count, pdes.mailbox.sent / .committed /
-  /// .max_pending).  Counters are integers folded from barrier state,
-  /// so published values are identical at any worker count.
+  /// .max_pending), all integers folded from barrier state and so
+  /// identical at any worker count, plus the team's host-timed totals
+  /// (pdes.team.busy_ns / .wait_ns), which are not.
   void publish_metrics() const;
 #endif
 
  private:
   friend class Lp;
-  /// Barrier phase: drain every mailbox into its destination's pending
-  /// buffer and update the message counters.
-  void drain();
+
+  /// Cache-line-padded per-member clock, written only by its member.
+  struct alignas(64) MemberSlot {
+    MemberTime t;
+  };
+
+  /// Serial, between runs: move every outbox (both parities) into its
+  /// destination's pending buffer and fold the pending high-water.
+  /// Returns the earliest pending message or kernel head over all LPs.
+  Time settle();
+  /// Team member `m`: run windows over LPs m, m+T, ... until the barrier
+  /// reports the run done.
+  void member(unsigned m);
+  /// Arrive at the window barrier at host time `arrived_ns`; the last
+  /// arriver runs close_window().  Returns once every member has arrived;
+  /// a waiter spins, then parks (see kSpinNs in pdes.cpp).
+  void arrive(unsigned& sense, std::uint64_t arrived_ns);
+  /// Last arriver only: reduce the published bounds into the next
+  /// window (or the end of the run).
+  void close_window();
 
   PartitionSpec spec_;
   ThreadPool& pool_;
   std::vector<std::unique_ptr<Lp>> lps_;
   Stats stats_;
+  std::vector<MemberSlot> member_times_;
+
+  // Window state: written by the last arriver at a barrier (or by the
+  // caller before the team starts), read by every member after it.
+  Time until_ = 0;
+  Time end_ = 0;
+  unsigned parity_ = 0;  // outbox buffer written by the current window
+  bool done_ = false;
+
+  // Sense-reversing barrier.
+  std::atomic<unsigned> arrived_{0};
+  std::atomic<unsigned> sense_{0};
+  std::atomic<unsigned> parked_{0};  // members inside sense_.wait()
+  std::atomic<unsigned> running_{0};  // members 1..T-1 not yet returned
+
+  // First handler exception of this run.  Members set it under the
+  // mutex; the last arriver and the caller read it after a barrier.
+  std::mutex error_mu_;
+  std::exception_ptr error_;
 };
 
 /// Serial reference engine: the same scenario surface on one shared

@@ -107,36 +107,6 @@ void ThreadPool::parallel_for(
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::parallel_run(std::size_t n,
-                              const std::function<void(std::size_t)>& task) {
-  if (n == 0) return;
-  if (n == 1 || size() == 1) {
-    // Nothing to overlap: run in index order on the calling thread.  The
-    // barrier semantics are trivially preserved.
-    for (std::size_t i = 0; i < n; ++i) task(i);
-    return;
-  }
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::size_t remaining = n;
-  std::exception_ptr error;
-  for (std::size_t i = 0; i < n; ++i) {
-    submit([&, i] {
-      try {
-        task(i);
-      } catch (...) {
-        std::lock_guard lk(done_mu);
-        if (!error) error = std::current_exception();
-      }
-      std::lock_guard lk(done_mu);
-      if (--remaining == 0) done_cv.notify_all();
-    });
-  }
-  std::unique_lock lk(done_mu);
-  done_cv.wait(lk, [&] { return remaining == 0; });
-  if (error) std::rethrow_exception(error);
-}
-
 bool ThreadPool::try_pop(std::size_t id, std::function<void()>& out) {
   bool got = false;
   bool stolen = false;

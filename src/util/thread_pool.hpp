@@ -50,7 +50,9 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Submit a task; returns immediately.
+  /// Submit a task; returns immediately.  A task may be long-lived: the
+  /// PDES engine (des/pdes.hpp) submits its worker-team members here,
+  /// and they synchronize among themselves at their own window barrier.
   void submit(std::function<void()> task);
 
   /// Block until all submitted tasks have completed.
@@ -78,20 +80,6 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t,
                                              std::size_t)>& body,
                     std::size_t grain = 1);
-
-  /// Run task(i) for every i in [0, n) and block until ALL have finished
-  /// -- the phase/barrier primitive of the conservative PDES engine: each
-  /// window phase submits one task per logical process, and the return of
-  /// parallel_run IS the window barrier (the happens-before edge that
-  /// lets the committing thread read every LP's mailboxes without
-  /// atomics).  Unlike parallel_for there is no chunking: task i is
-  /// always its own pool task, so long-running LPs spread across workers
-  /// and indices are stable for any deterministic per-task state.  n == 1
-  /// (or a single-worker pool would gain nothing) runs inline in index
-  /// order.  The first exception thrown by any task is rethrown here
-  /// after the barrier.
-  void parallel_run(std::size_t n,
-                    const std::function<void(std::size_t)>& task);
 
   /// Number of chunks parallel_reduce uses for a given (n, grain) --
   /// ceil(n / grain), never a function of the pool size.

@@ -8,14 +8,21 @@
 //     (histograms included) across worker counts, with and without the
 //     full policy/fault stack;
 //   * lookahead/partition/config validation and cross-LP cancellation
-//     across a window boundary.
-// The same binary runs under TSan in scripts/tier1.sh, so the barrier
-// discipline (not just the results) is checked.
+//     across a window boundary;
+//   * the worker team: stepped horizons with messages in flight at every
+//     stop, Stats pinned to values recorded before the team existed, a
+//     handler exception on a member the caller does not run, and the
+//     team-size cap.
+// The same binary runs under TSan in scripts/tier1.sh (once, then
+// repeated as a stress pass), so the barrier discipline -- not just the
+// results -- is checked.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cloud/cluster.hpp"
@@ -36,6 +43,7 @@ using namespace arch21::des;
 
 constexpr std::uint64_t kSeeds[] = {2014, 0xC0FFEE, 777};
 constexpr unsigned kWorkerCounts[] = {1, 2, 4, 8};
+constexpr double kTeamHorizon = 200.0;
 
 // ------------------------------------------------------------ schedule_n
 
@@ -212,6 +220,160 @@ TEST(PdesEngine, CrossLpCancelAcrossWindowBoundary) {
     ParallelEngine par(spec, pool);
     drive(par);
     EXPECT_GE(par.stats().windows, 2u);
+  }
+}
+
+// ------------------------------------------------------------ worker team
+
+/// Engine adapter for run_pdes_mesh: its run() stops at every horizon in
+/// `stops` before running to completion, and calls `at_stop` after each
+/// stop.
+template <class Engine, class AtStop>
+struct SteppedEngine {
+  Engine& eng;
+  std::vector<double> stops;
+  AtStop at_stop;
+
+  std::uint32_t lps() const { return eng.lps(); }
+  double lookahead() const { return eng.lookahead(); }
+  auto& lp(std::uint32_t i) { return eng.lp(i); }
+  std::uint64_t executed() const { return eng.executed(); }
+  std::uint64_t cancelled() const { return eng.cancelled(); }
+  std::uint64_t run() {
+    std::uint64_t n = 0;
+    for (const double t : stops) {
+      n += eng.run(t);
+      at_stop(eng, t);
+    }
+    return n + eng.run();
+  }
+};
+
+template <class Engine, class AtStop>
+SteppedEngine<Engine, AtStop> stepped(Engine& eng, AtStop at_stop) {
+  std::vector<double> stops;
+  for (double t = 6.1; t < kTeamHorizon; t += 7.3) stops.push_back(t);
+  return {eng, std::move(stops), at_stop};
+}
+
+// Wide enough windows that several cross-LP messages are always in
+// flight (sent, not yet delivered) -- including at every stepped stop.
+PartitionSpec team_spec() {
+  PartitionSpec spec;
+  spec.lps = 8;
+  spec.lookahead = 4.0;
+  return spec;
+}
+
+// A stop leaves the in-flight messages of the last window in one parity
+// buffer; the next run() must still deliver them, in canonical order.
+TEST(PdesEngine, SteppedHorizonsMatchLoopbackWithMessagesInFlight) {
+  const PartitionSpec spec = team_spec();
+  LoopbackEngine ser(spec);
+  const PdesWorkloadResult want = run_pdes_mesh(ser, kSeeds[0], kTeamHorizon);
+
+  LoopbackEngine ser_stepped(spec);
+  auto ser_stops = stepped(ser_stepped, [](LoopbackEngine&, double) {});
+  EXPECT_EQ(run_pdes_mesh(ser_stops, kSeeds[0], kTeamHorizon), want);
+
+  for (const unsigned workers : kWorkerCounts) {
+    ThreadPool pool(workers);
+    ParallelEngine par(spec, pool);
+    std::size_t stops = 0;
+    auto eng = stepped(par, [&](ParallelEngine& e, double t) {
+      ++stops;
+      const ParallelEngine::Stats s = e.stats();
+      EXPECT_GT(s.sent, s.committed)
+          << "nothing in flight at t=" << t << " workers=" << workers;
+      for (std::uint32_t i = 0; i < e.lps(); ++i) {
+        EXPECT_EQ(e.lp(i).now(), t) << "lp=" << i;
+      }
+    });
+    EXPECT_EQ(run_pdes_mesh(eng, kSeeds[0], kTeamHorizon), want)
+        << "workers=" << workers;
+    EXPECT_EQ(stops, eng.stops.size());
+    const ParallelEngine::Stats s = par.stats();
+    // Recorded on the fork/join engine the team replaced.
+    EXPECT_EQ(s.windows, 57u) << "workers=" << workers;
+    EXPECT_EQ(s.sent, 387u) << "workers=" << workers;
+    EXPECT_EQ(s.committed, 387u) << "workers=" << workers;
+    EXPECT_EQ(s.max_pending, 5u) << "workers=" << workers;
+  }
+}
+
+// Stats are folded from barrier state, so they are the same at every
+// worker count -- and the same as the fork/join engine the team
+// replaced, whose values these are.
+TEST(PdesEngine, StatsPinnedAcrossWorkerCounts) {
+  const PartitionSpec spec = team_spec();
+  for (const unsigned workers : kWorkerCounts) {
+    ThreadPool pool(workers);
+    ParallelEngine par(spec, pool);
+    const PdesWorkloadResult got = run_pdes_mesh(par, kSeeds[0], kTeamHorizon);
+    const ParallelEngine::Stats s = par.stats();
+    EXPECT_EQ(s.windows, 50u) << "workers=" << workers;
+    EXPECT_EQ(s.sent, 387u) << "workers=" << workers;
+    EXPECT_EQ(s.committed, 387u) << "workers=" << workers;
+    EXPECT_EQ(s.max_pending, 6u) << "workers=" << workers;
+    EXPECT_EQ(s.executed, 1965u) << "workers=" << workers;
+    EXPECT_EQ(s.cancelled, 1544u) << "workers=" << workers;
+    EXPECT_EQ(got.executed, s.executed);
+  }
+}
+
+TEST(PdesEngine, HandlerExceptionOnAnotherMemberIsRethrown) {
+  PartitionSpec spec;
+  spec.lps = 4;
+  spec.lookahead = 1.0;
+  for (const unsigned workers : {2u, 4u, 8u}) {
+    ThreadPool pool(workers);
+    {
+      ParallelEngine eng(spec, pool);
+      // LP 1 belongs to member 1 whenever the team has two members or
+      // more; the caller is member 0.
+      for (std::uint32_t i = 0; i < spec.lps; ++i) {
+        auto& lp = eng.lp(i);
+        lp.set_handler([](auto&, const Payload&) {});
+        for (int k = 0; k < 20; ++k) {
+          lp.sim().schedule_at(0.5 * k, [&lp, i, k] {
+            if (i == 1 && k == 9) throw std::runtime_error("lp 1 failed");
+            lp.send((i + 1) % 4, 1.0, Payload{});
+          });
+        }
+      }
+      EXPECT_THROW(eng.run(), std::runtime_error) << "workers=" << workers;
+    }  // the engine tears down with the team already gone
+    // Every member returned its pool thread: the pool runs a fresh
+    // engine to the loopback result.
+    const PartitionSpec mesh = team_spec();
+    LoopbackEngine ser(mesh);
+    ParallelEngine par(mesh, pool);
+    EXPECT_EQ(run_pdes_mesh(par, kSeeds[1], kTeamHorizon),
+              run_pdes_mesh(ser, kSeeds[1], kTeamHorizon))
+        << "workers=" << workers;
+  }
+}
+
+TEST(PdesEngine, TeamIsCappedByPoolLpsAndCores) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  PartitionSpec spec;
+  spec.lookahead = 1.0;
+  struct Case {
+    unsigned pool, lps;
+  };
+  for (const Case c : {Case{8, 3}, Case{2, 8}, Case{8, 8}, Case{1, 8}}) {
+    spec.lps = c.lps;
+    ThreadPool pool(c.pool);
+    ParallelEngine eng(spec, pool);
+    EXPECT_EQ(eng.team_size(), std::min({c.pool, c.lps, hw}))
+        << "pool=" << c.pool << " lps=" << c.lps;
+    for (std::uint32_t i = 0; i < c.lps; ++i) {
+      eng.lp(i).sim().schedule_at(1.0 + i, [] {});
+    }
+    eng.run();
+    const auto times = eng.member_times();
+    ASSERT_EQ(times.size(), eng.team_size());
+    for (const auto& t : times) EXPECT_GT(t.busy_ns + t.wait_ns, 0u);
   }
 }
 
