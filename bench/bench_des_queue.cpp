@@ -1,5 +1,6 @@
 // E27 DES event-queue harness: replays identical seeded workloads
-// (schedule-heavy, cancel-heavy timeout-per-call, cluster-like fan-out)
+// (schedule-heavy, cancel-heavy timeout-per-call, cluster-like fan-out,
+// and the cluster_powercap timer shape that stresses ladder re-fits)
 // through the production ladder/calendar queue and the reference binary
 // heap + unordered_map kernel it replaced, reports events/sec for both
 // and the speedup, and verifies the two queues executed *exactly* the
@@ -100,6 +101,7 @@ int main(int argc, char** argv) {
   const std::uint32_t cancel_calls = smoke ? 4'000 : 150'000;
   const std::uint32_t queries = smoke ? 400 : 20'000;
   const std::uint32_t fanout = smoke ? 8 : 20;
+  const std::uint32_t thrash_queries = smoke ? 400 : 15'000;
 
   std::cout << "DES event queue: ladder/calendar vs reference binary heap"
             << (smoke ? " (smoke)" : "") << "\n\n";
@@ -141,6 +143,20 @@ int main(int argc, char** argv) {
       [&] {
         return des::replay_cluster_like<des::ReferenceSimulator>(kSeed, queries,
                                                                  fanout);
+      }));
+  // The cluster_powercap timer shape (25 ms timeouts per leaf call, 0.5 s
+  // and 1 s periodic timers): the workload whose bursty gaps once made
+  // the ladder re-fit every few dozen events.  A re-fit regression shows
+  // up here as a throughput drop.
+  rows.push_back(measure(
+      "refit_thrash", reps,
+      [&] {
+        return des::replay_refit_thrash<des::Simulator>(kSeed, thrash_queries,
+                                                        fanout);
+      },
+      [&] {
+        return des::replay_refit_thrash<des::ReferenceSimulator>(
+            kSeed, thrash_queries, fanout);
       }));
 
   // hist_merge micro-bench: fold a populated shard histogram into an

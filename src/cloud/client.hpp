@@ -48,6 +48,18 @@
 
 namespace arch21::cloud {
 
+#if ARCH21_OBS_ENABLED
+/// The des.* counters of one trial's kernel: a des::Simulator, or a PDES
+/// engine summing its LP kernels.
+template <typename Kernel>
+void publish_kernel_metrics(obs::MetricsRegistry& m, const Kernel& k) {
+  m.add(m.counter("des.executed"), k.executed());
+  m.add(m.counter("des.cancelled"), k.cancelled());
+  m.add(m.counter("des.refits"), k.refits());
+  m.add(m.counter("des.refit_moves"), k.refit_moves());
+}
+#endif
+
 /// Token bucket refilled continuously over simulated milliseconds:
 /// `rate_per_s` tokens per second up to `burst`, starting full.
 class TokenBucket {

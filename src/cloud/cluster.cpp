@@ -470,8 +470,7 @@ class ClusterSim : public ClusterClient<ClusterSim> {
     }
     m.gauge_max(m.gauge("cluster.leaf_queue.hwm"),
                 static_cast<double>(qhwm));
-    m.add(m.counter("des.executed"), sim_.executed());
-    m.add(m.counter("des.cancelled"), sim_.cancelled());
+    publish_kernel_metrics(m, sim_);
     publish_slab_metrics(m);
   }
 #endif

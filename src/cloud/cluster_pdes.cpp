@@ -258,8 +258,7 @@ class PdesClusterSim : public ClusterClient<PdesClusterSim<Engine>> {
       }
     }
     m.gauge_max(m.gauge("cluster.leaf_queue.hwm"), static_cast<double>(qhwm));
-    m.add(m.counter("des.executed"), eng_.executed());
-    m.add(m.counter("des.cancelled"), eng_.cancelled());
+    publish_kernel_metrics(m, eng_);
     this->publish_slab_metrics(m);
     if constexpr (requires { eng_.publish_metrics(); }) {
       eng_.publish_metrics();  // pdes.window.* / pdes.mailbox.*

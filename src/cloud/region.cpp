@@ -386,6 +386,10 @@ class MultiRegionSim {
     // Probes and WAN events end at the horizon; requests resolve via
     // timeouts, so the queue drains on its own.
     sim_.run();
+#if ARCH21_OBS_ENABLED
+    auto& m = obs::MetricsRegistry::global();
+    if (m.enabled()) publish_kernel_metrics(m, sim_);
+#endif
 
     for (std::size_t r = 0; r < stations_.size(); ++r) {
       RegionStats& s = res_.regions[r];

@@ -286,16 +286,27 @@ ParallelEngine::Stats ParallelEngine::stats() const {
   return s;
 }
 
-std::uint64_t ParallelEngine::executed() const {
+template <typename Get>
+std::uint64_t ParallelEngine::sum_kernels(Get get) const {
   std::uint64_t n = 0;
-  for (const auto& lp : lps_) n += lp->sim_.executed();
+  for (const auto& lp : lps_) n += get(lp->sim_);
   return n;
 }
 
+std::uint64_t ParallelEngine::executed() const {
+  return sum_kernels([](const Simulator& s) { return s.executed(); });
+}
+
 std::uint64_t ParallelEngine::cancelled() const {
-  std::uint64_t n = 0;
-  for (const auto& lp : lps_) n += lp->sim_.cancelled();
-  return n;
+  return sum_kernels([](const Simulator& s) { return s.cancelled(); });
+}
+
+std::uint64_t ParallelEngine::refits() const {
+  return sum_kernels([](const Simulator& s) { return s.refits(); });
+}
+
+std::uint64_t ParallelEngine::refit_moves() const {
+  return sum_kernels([](const Simulator& s) { return s.refit_moves(); });
 }
 
 #if ARCH21_OBS_ENABLED

@@ -126,6 +126,10 @@ class ParallelEngine {
   /// Total events executed / cancelled across LPs (id order).
   std::uint64_t executed() const;
   std::uint64_t cancelled() const;
+  /// Summed ladder re-fits and re-placed events of the LP kernels
+  /// (Simulator::refits() / refit_moves()).
+  std::uint64_t refits() const;
+  std::uint64_t refit_moves() const;
 
 #if ARCH21_OBS_ENABLED
   /// Publish run counters into the global metrics registry
@@ -158,6 +162,9 @@ class ParallelEngine {
   /// Last arriver only: reduce the published bounds into the next
   /// window (or the end of the run).
   void close_window();
+  /// Sum `get(kernel)` over the LP kernels in id order.
+  template <typename Get>
+  std::uint64_t sum_kernels(Get get) const;
 
   PartitionSpec spec_;
   ThreadPool& pool_;
@@ -230,6 +237,8 @@ class LoopbackEngine {
   }
   std::uint64_t executed() const noexcept { return sim_.executed(); }
   std::uint64_t cancelled() const noexcept { return sim_.cancelled(); }
+  std::uint64_t refits() const noexcept { return sim_.refits(); }
+  std::uint64_t refit_moves() const noexcept { return sim_.refit_moves(); }
 
  private:
   PartitionSpec spec_;

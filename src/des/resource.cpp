@@ -1,5 +1,6 @@
 #include "des/resource.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -43,7 +44,7 @@ Resource::Resource(Simulator& sim, std::uint32_t servers, QueuePolicy queue)
   queue_.validate();
   // A bounded ring never needs to grow past its cap: pre-size it so even
   // the first overload burst schedules allocation-free.
-  if (queue_.capacity > 0) waiting_.resize(queue_.capacity);
+  if (queue_.capacity > 0) waiting_.resize(std::bit_ceil(queue_.capacity));
 }
 
 void Resource::set_speed(double speed) {
@@ -78,55 +79,53 @@ bool Resource::gate_allows(Time effective_service) {
   return false;
 }
 
-bool Resource::request(Time service_time, DoneFn on_done) {
-  Job job{sim_.now(), service_time, std::move(on_done)};
+bool Resource::request(Time service_time, DoneFn&& on_done) {
   if (busy_ < servers_ && gate_allows(service_time / speed_)) {
-    start(std::move(job));
+    start(sim_.now(), service_time, std::move(on_done));
     return true;
   }
   if (queue_.capacity > 0 && waiting_count_ >= queue_.capacity) {
     // The on_reject path: the job's callback is destroyed unfired and
     // the caller learns synchronously.  No accounting beyond the count
     // -- a rejected job never consumed queue space or service.
+    on_done = nullptr;
     ++rejected_;
     return false;
   }
-  waiting_push(std::move(job));
+  waiting_push(service_time, std::move(on_done));
   if (waiting_count_ > queue_high_water_) queue_high_water_ = waiting_count_;
   return true;
 }
 
-void Resource::waiting_push(Job job) {
+void Resource::waiting_push(Time service, DoneFn&& on_done) {
   if (waiting_count_ == waiting_.size()) {
     // Grow by unrolling the ring into a fresh vector in arrival order so
-    // head_ restarts at 0.  Amortized O(1); never shrinks, so a steady
-    // queue depth stops allocating after the first burst.
-    std::vector<Job> grown;
-    grown.reserve(waiting_.empty() ? 8 : 2 * waiting_.size());
+    // head_ restarts at 0.  Doubling keeps the size a power of two.
+    // Amortized O(1); never shrinks, so a steady queue depth stops
+    // allocating after the first burst.
+    std::vector<Job> grown(waiting_.empty() ? 8 : 2 * waiting_.size());
     for (std::size_t i = 0; i < waiting_count_; ++i) {
-      grown.push_back(
-          std::move(waiting_[(waiting_head_ + i) % waiting_.size()]));
+      grown[i] = std::move(waiting_at(i));
     }
-    grown.resize(grown.capacity());
     waiting_ = std::move(grown);
     waiting_head_ = 0;
   }
-  waiting_[(waiting_head_ + waiting_count_) % waiting_.size()] =
-      std::move(job);
+  Job& job = waiting_at(waiting_count_);
+  job.arrival = sim_.now();
+  job.service = service;
+  job.on_done = std::move(on_done);
   ++waiting_count_;
 }
 
-Resource::Job Resource::waiting_pop() {
-  Job job = std::move(waiting_[waiting_head_]);
-  waiting_head_ = (waiting_head_ + 1) % waiting_.size();
+void Resource::waiting_pop_front() noexcept {
+  waiting_[waiting_head_].on_done = nullptr;
+  waiting_head_ = (waiting_head_ + 1) & (waiting_.size() - 1);
   --waiting_count_;
-  return job;
 }
 
-Resource::Job Resource::waiting_pop_back() {
+void Resource::waiting_pop_back() noexcept {
   --waiting_count_;
-  return std::move(
-      waiting_[(waiting_head_ + waiting_count_) % waiting_.size()]);
+  waiting_at(waiting_count_).on_done = nullptr;
 }
 
 void Resource::start_next() {
@@ -141,36 +140,42 @@ void Resource::start_next() {
         // Expired at dequeue: the client gave up on this job before a
         // server could take it; serving it would only add queueing delay
         // for the jobs behind it.  Its on_done is destroyed unfired.
-        waiting_pop();
+        waiting_pop_front();
         ++expired_;
         continue;
       }
     }
     // Gate check happens *before* the pop so a refused job keeps its
     // place in line -- release_gate() resumes exactly where we stopped.
-    const Job& cand =
-        lifo ? waiting_[(waiting_head_ + waiting_count_ - 1) % waiting_.size()]
-             : waiting_[waiting_head_];
+    Job& cand =
+        lifo ? waiting_at(waiting_count_ - 1) : waiting_[waiting_head_];
     if (!gate_allows(cand.service / speed_)) return;
-    start(lifo ? waiting_pop_back() : waiting_pop());
+    // start() never touches the ring, so `cand` stays valid until the
+    // pop releases its (now empty) slot.
+    start(cand.arrival, cand.service, std::move(cand.on_done));
+    if (lifo) {
+      waiting_pop_back();
+    } else {
+      waiting_pop_front();
+    }
     return;
   }
 }
 
-void Resource::start(Job job) {
+void Resource::start(Time arrival, Time service, DoneFn&& on_done) {
   std::uint32_t slot = 0;
   while (slots_[slot].active) ++slot;  // busy_ < servers_ guarantees a hit
   Slot& s = slots_[slot];
   s.active = true;
   s.epoch = next_epoch_++;
   s.start = sim_.now();
-  s.wait = sim_.now() - job.arrival;
+  s.wait = sim_.now() - arrival;
   // Effective service reflects the p-state at *start* time; the raw
   // request is stored in the queue so a later speed change re-prices
   // still-waiting jobs.  speed_ == 1.0 divides exactly (IEEE), keeping
   // the no-powercap path bit-identical to the historical station.
-  s.service = job.service / speed_;
-  s.on_done = std::move(job.on_done);
+  s.service = service / speed_;
+  s.on_done = std::move(on_done);
   ++busy_;
   busy_time_ += s.service;
   auto complete = [this, slot, epoch = s.epoch] { on_complete(slot, epoch); };
@@ -206,7 +211,7 @@ void Resource::on_complete(std::uint32_t slot, std::uint64_t epoch) {
 std::size_t Resource::fail_all() {
   std::size_t lost = waiting_count_;
   for (std::size_t i = 0; i < waiting_count_; ++i) {
-    waiting_[(waiting_head_ + i) % waiting_.size()].on_done = nullptr;
+    waiting_at(i).on_done = nullptr;
   }
   waiting_head_ = 0;
   waiting_count_ = 0;

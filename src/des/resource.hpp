@@ -98,7 +98,7 @@ class Resource {
   /// bounded and full (the rejection is synchronous: in a real server
   /// this is the listen-backlog / load-shedder saying no at the door).
   /// Unbounded stations always return true.
-  bool request(Time service_time, DoneFn on_done);
+  bool request(Time service_time, DoneFn&& on_done);
 
   /// Service-rate scaling -- the DVFS p-state hook.  A job *started* from
   /// now on takes `requested_service / speed` simulated time; in-flight
@@ -193,7 +193,9 @@ class Resource {
     DoneFn on_done;
   };
 
-  void start(Job job);
+  /// Put a job into a free server slot; `on_done` is moved once, into
+  /// the slot.
+  void start(Time arrival, Time service, DoneFn&& on_done);
   /// Dequeue per the discipline and start the first non-expired waiter
   /// (dropping expired ones under kDeadline).  Called when a server
   /// frees; no-op on an empty queue.  Returns without dequeuing if the
@@ -202,9 +204,17 @@ class Resource {
   /// Ask the gate about a prospective start; records the stall on refusal.
   bool gate_allows(Time effective_service);
   void on_complete(std::uint32_t slot, std::uint64_t epoch);
-  void waiting_push(Job job);
-  Job waiting_pop();
-  Job waiting_pop_back();
+  /// The i-th waiter in arrival order (i < waiting_count_).
+  Job& waiting_at(std::size_t i) noexcept {
+    return waiting_[(waiting_head_ + i) & (waiting_.size() - 1)];
+  }
+  /// Append a waiter arriving now; `on_done` is moved once, into its
+  /// ring slot.
+  void waiting_push(Time service, DoneFn&& on_done);
+  /// Remove the oldest / newest waiter, destroying its callback unless
+  /// start() already moved it out.
+  void waiting_pop_front() noexcept;
+  void waiting_pop_back() noexcept;
 
   Simulator& sim_;
   std::uint32_t servers_;
@@ -212,6 +222,9 @@ class Resource {
   std::uint32_t busy_ = 0;
   // FIFO ring over a flat vector: head_ walks forward, capacity is
   // retained across bursts, growth unrolls the ring in arrival order.
+  // The ring's size is always a power of two, so an index wraps with a
+  // mask instead of a division; a bounded queue's ring is the capacity
+  // rounded up, and request() still rejects at queue_.capacity.
   // Adaptive LIFO pops the tail of the same ring, so both disciplines
   // share the allocation-free path.
   std::vector<Job> waiting_;

@@ -18,6 +18,8 @@ void Simulator::set_trace(obs::TraceBuffer* t, std::uint32_t tid) {
   if (t) {
     tr_fire_ = t->intern("des.fire");
     tr_discard_ = t->intern("des.discard");
+    tr_refit_ = t->intern("des.refit");
+    tr_moves_ = t->intern("moves");
   }
 }
 #endif
@@ -91,6 +93,16 @@ void Simulator::purge_cancelled(Bucket& b) {
     b.refs.resize(keep);
     ladder_size_ -= n - keep;
     size_ -= n - keep;
+  }
+}
+
+void Simulator::retire_bucket(Bucket& b) {
+  if (b.keys.capacity() > kRetainedCapacity) {
+    std::vector<Key>().swap(b.keys);
+    std::vector<Ref>().swap(b.refs);
+  } else {
+    b.keys.clear();
+    b.refs.clear();
   }
 }
 
@@ -400,11 +412,12 @@ void Simulator::reanchor() {
 
 bool Simulator::maybe_rebucket() {
   // Only judge the fit once the gap estimator has real history behind
-  // it, and re-fit only on a >2x mismatch either way: the EWMA moves
-  // smoothly, so once the width tracks it, re-fits need a genuine
-  // regime change, not noise.
+  // it and the executions since the last anchor cover the events a
+  // re-fit would move (the amortization gate), and re-fit only on a >2x
+  // mismatch either way.
   constexpr std::uint64_t kMinExecuted = 64;
-  if (executed_ - anchor_executed_ < kMinExecuted || !(gap_ewma_ > 0)) {
+  const std::uint64_t since = executed_ - anchor_executed_;
+  if (since < kMinExecuted || since < ladder_size_ || !(gap_ewma_ > 0)) {
     return false;
   }
   double target = gap_ewma_ * kGapsPerBucket;
@@ -431,8 +444,7 @@ bool Simulator::maybe_rebucket() {
         sort_buf_.push_back(Event{bk.keys[i].t, bk.keys[i].seq,
                                   bk.refs[i].slot, bk.refs[i].act});
       }
-      bk.keys.clear();
-      bk.refs.clear();
+      retire_bucket(bk);
     }
   }
   occ_.fill(0);
@@ -460,6 +472,14 @@ bool Simulator::maybe_rebucket() {
       }
     }
   }
+  ++refits_;
+  refit_moves_ += sort_buf_.size();
+#if ARCH21_OBS_ENABLED
+  if (trace_) {
+    trace_->instant(tr_refit_, now_, trace_tid_, tr_moves_,
+                    static_cast<double>(sort_buf_.size()));
+  }
+#endif
   sort_buf_.clear();
   return true;
 }
@@ -506,6 +526,7 @@ const Simulator::Key* Simulator::peek() {
     // insert (amortized O(log bucket) per event, contiguous).
     purge_cancelled(*curp);
     if (curp->keys.empty()) {
+      retire_bucket(*curp);
       occ_clear(cur_bucket_ & kBucketMask);
       if (size_ == 0) return nullptr;
       continue;  // everything here was cancelled; keep scanning
@@ -543,14 +564,16 @@ Simulator::Event Simulator::pop_head() {
       ev = Event{b.keys[cur_head_].t, b.keys[cur_head_].seq,
                  b.refs[cur_head_].slot, b.refs[cur_head_].act};
       if (++cur_head_ == b.keys.size()) {
-        b.keys.clear();
-        b.refs.clear();
+        retire_bucket(b);
         cur_head_ = 0;
         occ_clear(cur_bucket_ & kBucketMask);
       }
     } else {
       pop_min(b, ev);
-      if (b.keys.empty()) occ_clear(cur_bucket_ & kBucketMask);
+      if (b.keys.empty()) {
+        retire_bucket(b);
+        occ_clear(cur_bucket_ & kBucketMask);
+      }
     }
     --ladder_size_;
   }
@@ -560,7 +583,7 @@ Simulator::Event Simulator::pop_head() {
 
 // ------------------------------------------------------------ scheduling
 
-std::uint32_t Simulator::store_action(Action a) {
+std::uint32_t Simulator::store_action(Action&& a) {
   if (!free_actions_.empty()) {
     const std::uint32_t idx = free_actions_.back();
     free_actions_.pop_back();
@@ -572,7 +595,7 @@ std::uint32_t Simulator::store_action(Action a) {
   return idx;
 }
 
-void Simulator::schedule_at(Time t, Action action) {
+void Simulator::schedule_at(Time t, Action&& action) {
   if (t < now_) {
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
   }
@@ -610,7 +633,7 @@ void Simulator::schedule_n(TimedAction* evs, std::size_t n) {
   }
 }
 
-EventHandle Simulator::schedule_cancellable_at(Time t, Action action) {
+EventHandle Simulator::schedule_cancellable_at(Time t, Action&& action) {
   if (t < now_) {
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
   }
@@ -667,10 +690,12 @@ bool Simulator::fire_event(const Event& ev) {
   if (trace_) trace_->instant(tr_fire_, ev.t, trace_tid_);
 #endif
   // Feed the ladder-width estimator (nonzero gaps only: simultaneous
-  // events share a bucket regardless of width).
+  // events share a bucket regardless of width): a running mean that
+  // becomes an EWMA over about the last kGapWindow gaps.
   if (executed_ > 1 && ev.t > last_exec_t_) {
-    const double gap = ev.t - last_exec_t_;
-    gap_ewma_ = gap_ewma_ > 0 ? gap_ewma_ + 0.02 * (gap - gap_ewma_) : gap;
+    if (gap_samples_ < kGapWindow) ++gap_samples_;
+    gap_ewma_ += (ev.t - last_exec_t_ - gap_ewma_) /
+                 static_cast<double>(gap_samples_);
   }
   last_exec_t_ = ev.t;
   // Move the closure out and recycle its index *before* invoking: the
@@ -713,8 +738,7 @@ std::uint64_t Simulator::drain_bucket(Time until) {
     }
     cur_head_ = m;
     if (cur_head_ == n) {
-      b.keys.clear();
-      b.refs.clear();
+      retire_bucket(b);
       cur_head_ = 0;
       occ_clear(cur_bucket_ & kBucketMask);
       emptied = true;
@@ -726,6 +750,7 @@ std::uint64_t Simulator::drain_bucket(Time until) {
       scratch_.push_back(ev);
     }
     if (b.keys.empty()) {
+      retire_bucket(b);
       occ_clear(cur_bucket_ & kBucketMask);
       emptied = true;
     }

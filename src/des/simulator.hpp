@@ -91,12 +91,14 @@ class Simulator {
   Time now() const noexcept { return now_; }
 
   /// Schedule `action` to run `delay` seconds from now (delay >= 0).
-  void schedule(Time delay, Action action) {
+  /// Every scheduling entry point takes the action by rvalue reference
+  /// and moves it exactly once, into its slab slot.
+  void schedule(Time delay, Action&& action) {
     schedule_at(now_ + delay, std::move(action));
   }
 
   /// Schedule `action` at absolute time `t` (must be >= now()).
-  void schedule_at(Time t, Action action);
+  void schedule_at(Time t, Action&& action);
 
   /// One (time, action) entry of a schedule_n() batch.
   struct TimedAction {
@@ -119,12 +121,12 @@ class Simulator {
   /// the resilience layer).  Costs one slot in the generation-stamped
   /// cancellation table; both this and the plain path are allocation-free
   /// in steady state (the slot free list recycles).
-  EventHandle schedule_cancellable(Time delay, Action action) {
+  EventHandle schedule_cancellable(Time delay, Action&& action) {
     return schedule_cancellable_at(now_ + delay, std::move(action));
   }
 
   /// Cancellable variant of schedule_at().
-  EventHandle schedule_cancellable_at(Time t, Action action);
+  EventHandle schedule_cancellable_at(Time t, Action&& action);
 
   /// Cancel a pending cancellable event.  Returns true if the event was
   /// still pending (it will now never fire); false if it already fired,
@@ -168,6 +170,15 @@ class Simulator {
 
   /// Total events executed since construction.
   std::uint64_t executed() const noexcept { return executed_; }
+
+  /// In-place ladder re-fits (see maybe_rebucket()) since construction,
+  /// and the events they re-placed.  Geometry bookkeeping only: neither
+  /// can affect event order.  The amortization gate keeps
+  /// refit_moves() <= executed().
+  std::uint64_t refits() const noexcept { return refits_; }
+  std::uint64_t refit_moves() const noexcept { return refit_moves_; }
+  /// Current ladder bucket width (0 before the first anchor).
+  Time bucket_width() const noexcept { return width_; }
 
   /// Pre-size the event storage for an expected number of simultaneously
   /// outstanding events: the overflow tier (which absorbs everything
@@ -253,6 +264,16 @@ class Simulator {
   /// occupancy (pops from near-singleton buckets cost no heap moves);
   /// much below that the cursor wastes time skipping empty buckets.
   static constexpr double kGapsPerBucket = 4.0;
+  /// Samples the gap estimator averages over (an exact running mean for
+  /// the first kGapWindow nonzero gaps, then an EWMA of weight
+  /// 1/kGapWindow).  It must span several cycles of the workload's own
+  /// burstiness: a fan-out packs a hundred replies into a few ms and
+  /// then idles until the next arrival, and an estimator that sees less
+  /// than one such cycle swings by more than the 2x re-fit hysteresis.
+  static constexpr std::uint64_t kGapWindow = 256;
+  /// Largest bucket storage (in events) kept across visits; see
+  /// retire_bucket().  4x the kGapsPerBucket target occupancy.
+  static constexpr std::size_t kRetainedCapacity = 16;
   /// The window must span this multiple of the observed live scheduling
   /// horizon (max delay of events scheduled while running), so events
   /// scheduled `spread` ahead land mid-window -- and because the insert
@@ -313,7 +334,7 @@ class Simulator {
   void overflow_merge_staging();
   /// Park `a` in the action slab (recycling a freed index when one is
   /// available) and return its index.
-  std::uint32_t store_action(Action a);
+  std::uint32_t store_action(Action&& a);
   /// Key of the earliest pending event, advancing the bucket cursor /
   /// re-anchoring as needed.  Sets head_in_overflow_.  nullptr if nothing
   /// pending.
@@ -324,16 +345,25 @@ class Simulator {
   /// overflow event inside the new window into its bucket.
   void reanchor();
   /// Geometry misfit check, run when the cursor enters a fresh bucket:
-  /// once enough executions have accumulated since the last anchor, if
-  /// the width the anchor policy would pick *now* disagrees with the
-  /// live width by more than 2x either way, re-place every ladder event
-  /// under the new width (O(live events), amortized to nothing by the
-  /// hysteresis).  Returns true if the ladder was re-anchored, in which
-  /// case the caller must rescan from the restarted cursor.  This is
-  /// what rescues a ladder whose first anchor had no execution history
-  /// to consult -- e.g. a per-LP PDES kernel seeded with one event
-  /// whose fallback width lands far from the real event gap.
+  /// if the width the anchor policy would pick *now* disagrees with the
+  /// live width by more than 2x either way, re-place every live ladder
+  /// event under the new width.  A re-fit costs O(live ladder events),
+  /// so it may run only once the executions since the last anchor reach
+  /// max(64, ladder population): each re-fit is paid for by at least as
+  /// many executed events as it moves, and refit_moves() <= executed()
+  /// always holds; the 2x hysteresis alone bounds nothing when the gap
+  /// estimate is noisy.  Returns true if the ladder was re-anchored, in which case the
+  /// caller must rescan from the restarted cursor.  This is what rescues
+  /// a ladder whose first anchor had no execution history to consult --
+  /// e.g. a per-LP PDES kernel seeded with one event whose fallback
+  /// width lands far from the real event gap.
   bool maybe_rebucket();
+  /// Empty `b` after its last event left.  A bucket whose storage grew
+  /// past kRetainedCapacity (a burst of same-instant events -- a fan-out's
+  /// timeouts all land in one bucket at any width) frees it instead of
+  /// keeping it: the cursor sweeps every ring slot, so retained storage
+  /// would grow to the largest burst any slot ever held.
+  void retire_bucket(Bucket& b);
   /// Fire (or lazily discard) one popped event: the shared body of
   /// step() and the batched drain.  Returns true if the action executed.
   bool fire_event(const Event& ev);
@@ -384,6 +414,7 @@ class Simulator {
   double origin_ = 0;            // time of absolute bucket 0
   double width_ = 0;             // bucket width; 0 = ladder not anchored
   double gap_ewma_ = 0;          // mean nonzero inter-execution gap
+  std::uint64_t gap_samples_ = 0;  // gaps folded in, capped at kGapWindow
   double live_spread_ = 0;       // decaying max of (t - now) over inserts
   std::uint64_t anchor_executed_ = 0;  // executed_ at the last (re)anchor
   Time last_exec_t_ = 0;
@@ -421,12 +452,16 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
+  std::uint64_t refits_ = 0;
+  std::uint64_t refit_moves_ = 0;
 
 #if ARCH21_OBS_ENABLED
   obs::TraceBuffer* trace_ = nullptr;
   std::uint32_t trace_tid_ = 0;   // track carrying this kernel's instants
   std::uint32_t tr_fire_ = 0;     // interned "des.fire"
   std::uint32_t tr_discard_ = 0;  // interned "des.discard"
+  std::uint32_t tr_refit_ = 0;    // interned "des.refit"
+  std::uint32_t tr_moves_ = 0;    // interned "moves" (des.refit's arg)
 #endif
 };
 

@@ -12,6 +12,7 @@
 // -- and any ordering divergence between the two queues derails the
 // comparison immediately rather than hiding in aggregate stats.
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -201,6 +202,90 @@ WorkloadResult replay_cluster_like(std::uint64_t seed, std::uint32_t queries,
     });
   }
   c->sim.run();
+  c->out.final_now = c->sim.now();
+  c->out.executed = c->sim.executed();
+  c->out.cancelled = c->sim.cancelled();
+  return std::move(c->out);
+}
+
+/// Refit-thrash replay: the timer shape of the cluster_powercap scenario
+/// (times in ms).  Queries arrive at 160 qps and fan out to `fanout`
+/// leaf calls of ~3 ms lognormal service, each guarded by a 25 ms
+/// cancellable timeout that the reply cancels (a fired timeout retries
+/// once); a 1 s window timer and a 0.5 s power-window timer re-arm
+/// themselves until the last arrival.  Nonzero execution gaps are
+/// bursty -- a fan-out's replies packed into a few ms, then idle until
+/// the next arrival -- which is what once swung the ladder's gap
+/// estimator by more than 2x every few dozen events and made each event
+/// move several times through re-fits.  When `refit_moves` is given and
+/// the kernel counts re-fits (des::Simulator), it receives the kernel's
+/// refit_moves() after the run.
+template <typename Sim>
+WorkloadResult replay_refit_thrash(std::uint64_t seed, std::uint32_t queries,
+                                   std::uint32_t fanout,
+                                   std::uint64_t* refit_moves = nullptr) {
+  using Action = typename Sim::Action;
+  using Handle =
+      decltype(std::declval<Sim&>().schedule_cancellable_at(0.0, Action{}));
+  struct Ctx {
+    Sim sim;
+    Rng rng;
+    WorkloadResult out;
+    std::vector<Handle> timeouts;  // one per (query, leaf)
+    std::uint32_t fanout = 0;
+    std::uint32_t timer_ids = 0;  // first id of the timer range
+    double horizon = 0;
+    explicit Ctx(std::uint64_t seed) : rng(seed) {}
+  };
+  auto ctx = std::make_unique<Ctx>(seed);
+  Ctx* c = ctx.get();
+  constexpr double kTimeoutMs = 25.0;
+  const double mu = std::log(3.0);  // median service 3 ms
+  const std::uint32_t stride = 3 * fanout + 1;
+  c->sim.reserve(std::size_t{2} * queries * fanout);
+  c->out.order.reserve(std::size_t{2} * queries * (fanout + 1));
+  c->timeouts.resize(std::size_t{1} * queries * fanout);
+  c->fanout = fanout;
+  c->timer_ids = queries * stride;
+  double t = 0;
+  for (std::uint32_t q = 0; q < queries; ++q) {
+    t += c->rng.exponential(1000.0 / 160.0);
+    const std::uint32_t base = q * stride;
+    c->sim.schedule_at(t, [c, q, base, mu] {
+      c->out.order.push_back(base);
+      for (std::uint32_t l = 0; l < c->fanout; ++l) {
+        const std::uint32_t call = q * c->fanout + l;
+        c->sim.schedule(c->rng.lognormal(mu, 0.35), [c, base, l, call] {
+          c->out.order.push_back(base + 1 + l);
+          c->sim.cancel(c->timeouts[call]);
+        });
+        c->timeouts[call] = c->sim.schedule_cancellable(
+            kTimeoutMs, [c, base, l, mu] {
+              c->out.order.push_back(base + 1 + c->fanout + l);
+              c->sim.schedule(c->rng.lognormal(mu, 0.35), [c, base, l] {
+                c->out.order.push_back(base + 1 + 2 * c->fanout + l);
+              });
+            });
+      }
+    });
+  }
+  c->horizon = t;
+  // Self-re-arming periodic timers: `id` distinguishes the two streams.
+  struct Periodic {
+    Ctx* c;
+    double period;
+    std::uint32_t id;
+    void operator()() const {
+      c->out.order.push_back(c->timer_ids + id);
+      if (c->sim.now() + period <= c->horizon) c->sim.schedule(period, *this);
+    }
+  };
+  c->sim.schedule_at(1000.0, Periodic{c, 1000.0, 0});
+  c->sim.schedule_at(500.0, Periodic{c, 500.0, 1});
+  c->sim.run();
+  if constexpr (requires { c->sim.refit_moves(); }) {
+    if (refit_moves) *refit_moves = c->sim.refit_moves();
+  }
   c->out.final_now = c->sim.now();
   c->out.executed = c->sim.executed();
   c->out.cancelled = c->sim.cancelled();

@@ -2,21 +2,28 @@
 // reference binary heap (the determinism contract -- identical execution
 // order on identical seeded workloads), plus the edge cases the ladder
 // introduces over a single heap: events crossing the ladder/overflow
-// boundary, generation-stamped handle reuse, and large-scale
-// executed()/cancelled() bookkeeping.
+// boundary, generation-stamped handle reuse, ladder re-fit amortization,
+// and large-scale executed()/cancelled() bookkeeping.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "des/reference_heap.hpp"
 #include "des/simulator.hpp"
 #include "des/workload.hpp"
+#include "obs/enabled.hpp"
 #include "util/rng.hpp"
+
+#if ARCH21_OBS_ENABLED
+#include "obs/trace.hpp"
+#endif
 
 namespace arch21::des {
 namespace {
@@ -53,6 +60,62 @@ TEST(DesQueueDifferential, ClusterLikeMatchesReferenceHeap) {
     EXPECT_EQ(ladder.order, ref.order) << "seed " << seed;
     EXPECT_TRUE(ladder == ref) << "seed " << seed;
   }
+}
+
+// The cluster_powercap timer shape: 25 ms cancellable timeouts per leaf
+// call plus periodic 0.5 s and 1 s timers.  Order must match the
+// reference heap, and the re-fit amortization gate must hold: a re-fit
+// runs only after at least as many executions as it moves events, so
+// the kernel can never re-place more events than it executes.
+TEST(DesQueueRefit, ThrashShapeMatchesReferenceAndBoundsMoves) {
+  for (const std::uint64_t seed : kSeeds) {
+    std::uint64_t moves = ~std::uint64_t{0};
+    const WorkloadResult ladder =
+        replay_refit_thrash<Simulator>(seed, 1500, 20, &moves);
+    const WorkloadResult ref =
+        replay_refit_thrash<ReferenceSimulator>(seed, 1500, 20);
+    EXPECT_EQ(ladder.order, ref.order) << "seed " << seed;
+    EXPECT_TRUE(ladder == ref) << "seed " << seed;
+    EXPECT_GT(ladder.cancelled, 0u) << "seed " << seed;
+    EXPECT_LE(moves, ladder.executed) << "seed " << seed;
+  }
+}
+
+// Every per-LP kernel inside des::ParallelEngine first anchors on a
+// one-event backlog, where the width falls back to a constant (1.0 here,
+// a thousand gaps).  The re-fit must rescue it: after the stream runs,
+// the width sits within a small factor of kGapsPerBucket (4) mean gaps.
+TEST(DesQueueRefit, OneEventSeedRefitsToTheStreamGap) {
+  constexpr double kGap = 1e-3;
+  Simulator sim;
+#if ARCH21_OBS_ENABLED
+  obs::TraceBuffer trace(std::size_t{1} << 16);
+  sim.set_trace(&trace);
+#endif
+  Rng rng(5);
+  std::uint32_t left = 20'000;
+  std::function<void()> next = [&] {
+    if (--left > 0) sim.schedule(rng.uniform(0.0, 2 * kGap), [&] { next(); });
+  };
+  sim.schedule_at(0.0, [&] { next(); });
+  sim.run();
+  EXPECT_EQ(sim.executed(), 20'000u);
+  EXPECT_GE(sim.refits(), 1u);
+  EXPECT_LE(sim.refit_moves(), sim.executed());
+  EXPECT_GE(sim.bucket_width(), 1.0 * kGap);
+  EXPECT_LE(sim.bucket_width(), 16.0 * kGap);
+#if ARCH21_OBS_ENABLED
+  // One des.refit instant per re-fit.
+  ASSERT_EQ(trace.dropped(), 0u);
+  const std::string json = trace.chrome_json();
+  std::uint64_t instants = 0;
+  for (std::size_t at = json.find("\"name\":\"des.refit\"");
+       at != std::string::npos;
+       at = json.find("\"name\":\"des.refit\"", at + 1)) {
+    ++instants;
+  }
+  EXPECT_EQ(instants, sim.refits());
+#endif
 }
 
 // A dense near-future stream anchors the ladder window tightly; events far

@@ -17,6 +17,8 @@
 #include "cloud/traffic.hpp"
 #include "cloud/wan.hpp"
 #include "des/simulator.hpp"
+#include "obs/enabled.hpp"
+#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "golden_digest.hpp"
 
@@ -407,6 +409,27 @@ TEST(RoutePolicy, NamesAreDistinct) {
 }
 
 // ------------------------------------------------------------ simulation
+
+#if ARCH21_OBS_ENABLED
+// The engine publishes its kernel's des.* counters, so the per-layer
+// event counts of region scenarios are not blank.
+TEST(MultiRegion, PublishesKernelCounters) {
+  auto& m = obs::MetricsRegistry::global();
+  m.reset();
+  m.set_enabled(true);
+  const auto r = simulate_multiregion(small_config());
+  m.set_enabled(false);
+  std::uint64_t executed = 0;
+  std::uint64_t moves = ~std::uint64_t{0};
+  for (const auto& e : m.snapshot().entries) {
+    if (e.name == "des.executed") executed = e.count;
+    if (e.name == "des.refit_moves") moves = e.count;
+  }
+  m.reset();
+  EXPECT_GT(executed, r.requests);
+  EXPECT_LE(moves, executed);
+}
+#endif
 
 TEST(MultiRegion, ConservesRequestsAndWindows) {
   const MultiRegionConfig cfg = small_config();

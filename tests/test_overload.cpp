@@ -144,6 +144,36 @@ TEST(BoundedQueue, FailAllWithFullQueueDoesNotDoubleCount) {
   EXPECT_EQ(r.completed() + r.dropped(), 8u);
 }
 
+// A capacity that is not a power of two: the ring is rounded up to 8
+// slots and wraps many times under sustained overload, yet admission
+// still stops at exactly 5 waiters and FIFO order survives every wrap.
+TEST(BoundedQueue, NonPowerOfTwoCapacityWrapsInOrder) {
+  Simulator sim;
+  QueuePolicy qp;
+  qp.capacity = 5;
+  Resource r(sim, 1, qp);
+  Rng rng(3);
+  std::vector<int> accepted;
+  std::vector<int> served;
+  int next_id = 0;
+  for (int step = 0; step < 400; ++step) {
+    const auto burst = static_cast<int>(rng.below(7));
+    for (int k = 0; k < burst; ++k) {
+      const int id = next_id++;
+      const bool room = r.busy() < r.servers() || r.queue_length() < 5;
+      EXPECT_EQ(r.request(1.0, [&served, id](Time, Time) {
+        served.push_back(id);
+      }), room);
+      if (room) accepted.push_back(id);
+    }
+    sim.run(sim.now() + 2.0);
+  }
+  sim.run();
+  EXPECT_EQ(served, accepted);
+  EXPECT_EQ(r.queue_high_water(), 5u);
+  EXPECT_GT(r.rejected(), 100u);
+}
+
 TEST(BoundedQueue, SteadyStateOverloadIsAllocationFree) {
   Simulator sim;
   sim.reserve(8192);
