@@ -145,9 +145,9 @@ int main(int argc, char** argv) {
                                                                  fanout);
       }));
   // The cluster_powercap timer shape (25 ms timeouts per leaf call, 0.5 s
-  // and 1 s periodic timers): the workload whose bursty gaps once made
-  // the ladder re-fit every few dozen events.  A re-fit regression shows
-  // up here as a throughput drop.
+  // and 1 s periodic timers), whose bursty gaps make a short-sighted gap
+  // estimator re-fit the ladder every few dozen events.  A re-fit
+  // regression shows up here as a throughput drop.
   rows.push_back(measure(
       "refit_thrash", reps,
       [&] {

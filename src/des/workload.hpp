@@ -215,9 +215,10 @@ WorkloadResult replay_cluster_like(std::uint64_t seed, std::uint32_t queries,
 /// once); a 1 s window timer and a 0.5 s power-window timer re-arm
 /// themselves until the last arrival.  Nonzero execution gaps are
 /// bursty -- a fan-out's replies packed into a few ms, then idle until
-/// the next arrival -- which is what once swung the ladder's gap
-/// estimator by more than 2x every few dozen events and made each event
-/// move several times through re-fits.  When `refit_moves` is given and
+/// the next arrival -- so a ladder gap estimator that averages over less
+/// than one such cycle swings by more than 2x every few dozen events,
+/// and without an amortized re-fit each event moves several times.
+/// When `refit_moves` is given and
 /// the kernel counts re-fits (des::Simulator), it receives the kernel's
 /// refit_moves() after the run.
 template <typename Sim>
