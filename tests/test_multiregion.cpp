@@ -827,5 +827,73 @@ TEST(GoldenDigest, CapsBreakersBudgetBlackoutRung) {
   EXPECT_EQ(golden::digest(r), 0xf9f20793bc18c855ULL);
 }
 
+// The E31 gray-out rung: the same full protection stack as the pin
+// above, but region 0 goes fail-SLOW (16x) instead of dark, so the
+// probe's speed-aware sojourn estimate drives eviction and re-admission.
+TEST(GoldenDigest, GrayoutRung) {
+  MultiRegionConfig cfg = small_config();
+  cfg.traffic.session_rate_hz = 120;
+  cfg.grayout_region = 0;
+  cfg.grayout_start_s = 2;
+  cfg.grayout_duration_s = 3;
+  cfg.grayout_slow_factor = 16.0;
+  auto& fo = cfg.failover;
+  fo.healthy_after = 3;
+  fo.admission_cap_frac = 0.35;
+  fo.admission_burst = 16;
+  fo.budget_enabled = true;
+  fo.budget_ratio = 0.05;
+  fo.budget_burst = 10;
+  fo.breaker.enabled = true;
+  fo.breaker.min_samples = 8;
+  fo.breaker.open_ms = 150;
+  for (RegionConfig& r : cfg.regions) {
+    r.queue.capacity = 16;
+    r.queue.discipline = des::QueueDiscipline::kDeadline;
+    r.queue.sojourn_target = 40;
+  }
+  const auto r = simulate_multiregion(cfg);
+  EXPECT_EQ(r.lost_requests, 0u);
+  EXPECT_GE(r.regions[0].evictions, 1u);
+  EXPECT_GE(r.regions[0].readmissions, 1u);
+  EXPECT_EQ(golden::digest(r), 0x00a05e5e3cd8c95cULL);
+}
+
+// Capacity-aware routing under overload with WAN link faults and a
+// blackout: every request re-sorts the candidates by live in-flight load.
+TEST(GoldenDigest, CapacityAwareRoutingOverload) {
+  MultiRegionConfig cfg = small_config();
+  cfg.route = RoutePolicy::kCapacityAware;
+  cfg.traffic.session_rate_hz = 400;
+  cfg.duration_s = 5;
+  cfg.wan.link_faults = true;
+  cfg.wan.link = {.mtbf_hours = 4.0 / 3600.0, .mttr_hours = 0.5 / 3600.0};
+  cfg.blackout_region = 1;
+  cfg.blackout_start_s = 1.5;
+  cfg.blackout_duration_s = 1.5;
+  cfg.failover.admission_cap_frac = 0.6;
+  const auto r = simulate_multiregion(cfg);
+  EXPECT_GT(r.link_failures, 0u);
+  EXPECT_GT(r.shed, 0u);
+  EXPECT_EQ(golden::digest(r), 0x41ff6eccd77e9944ULL);
+}
+
+// Sticky spillover: each zone is pinned to its home region and spills
+// over only when the home region's admission cap refuses, so the caps
+// and the spill path both run.
+TEST(GoldenDigest, StickySpilloverUnderCaps) {
+  MultiRegionConfig cfg = small_config();
+  cfg.route = RoutePolicy::kStickySpillover;
+  cfg.traffic.session_rate_hz = 300;
+  cfg.duration_s = 5;
+  cfg.failover.admission_cap_frac = 0.4;
+  cfg.failover.admission_burst = 8;
+  const auto r = simulate_multiregion(cfg);
+  std::uint64_t capped = 0;
+  for (const RegionStats& s : r.regions) capped += s.capped;
+  EXPECT_GT(capped, 0u);
+  EXPECT_EQ(golden::digest(r), 0x8d253de125345925ULL);
+}
+
 }  // namespace
 }  // namespace arch21::cloud
