@@ -1,6 +1,7 @@
 // E27 DES event-queue harness: replays identical seeded workloads
 // (schedule-heavy, cancel-heavy timeout-per-call, cluster-like fan-out,
-// and the cluster_powercap timer shape that stresses ladder re-fits)
+// the cluster_powercap timer shape that stresses ladder re-fits, and a
+// streamed arrival shape whose first anchor sees only far-apart timers)
 // through the production ladder/calendar queue and the reference binary
 // heap + unordered_map kernel it replaced, reports events/sec for both
 // and the speedup, and verifies the two queues executed *exactly* the
@@ -102,6 +103,7 @@ int main(int argc, char** argv) {
   const std::uint32_t queries = smoke ? 400 : 20'000;
   const std::uint32_t fanout = smoke ? 8 : 20;
   const std::uint32_t thrash_queries = smoke ? 400 : 15'000;
+  const std::uint32_t stream_n = smoke ? 20'000 : 300'000;
 
   std::cout << "DES event queue: ladder/calendar vs reference binary heap"
             << (smoke ? " (smoke)" : "") << "\n\n";
@@ -157,6 +159,22 @@ int main(int argc, char** argv) {
       [&] {
         return des::replay_refit_thrash<des::ReferenceSimulator>(
             kSeed, thrash_queries, fanout);
+      }));
+
+  // An open-loop stream fed one element at a time (0.3 ms gaps, a 1-3 ms
+  // reply cancelling a 150 ms timeout per element) behind a first anchor
+  // that saw only a few far-apart timers: the width starts thousands of
+  // gaps wide, so the drain reach and the resident-bucket fit check
+  // decide whether the run collapses into one drain that splices every
+  // reply in ahead of all pending timeouts.
+  rows.push_back(measure(
+      "cold_stream", reps,
+      [&] {
+        return des::replay_cold_stream<des::Simulator>(kSeed, stream_n, 0.3);
+      },
+      [&] {
+        return des::replay_cold_stream<des::ReferenceSimulator>(kSeed, stream_n,
+                                                                0.3);
       }));
 
   // hist_merge micro-bench: fold a populated shard histogram into an

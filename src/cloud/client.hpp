@@ -57,6 +57,7 @@ void publish_kernel_metrics(obs::MetricsRegistry& m, const Kernel& k) {
   m.add(m.counter("des.cancelled"), k.cancelled());
   m.add(m.counter("des.refits"), k.refits());
   m.add(m.counter("des.refit_moves"), k.refit_moves());
+  m.add(m.counter("des.spliced"), k.spliced());
 }
 #endif
 

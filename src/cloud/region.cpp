@@ -261,12 +261,14 @@ void MultiRegionResult::merge(const MultiRegionResult& other) {
 namespace {
 
 // One multi-region trial: a serial DES over pre-generated open-loop
-// traffic.  Per-request state lives in a generation-checked slab
-// (epochs advance on every retry AND on slot reuse, so in-flight WAN /
-// completion events for an abandoned attempt always miss), and every
-// event closure captures at most (this, handle, epoch, region) --
-// inside both Simulator::Action's and Resource::DoneFn's inline
-// buffers, so the steady-state request flow allocates nothing.
+// traffic, streamed into the kernel one arrival at a time under
+// reserved sequence numbers.  Per-request state lives in a
+// generation-checked slab (epochs advance on every retry AND on slot
+// reuse, so in-flight WAN / completion events for an abandoned attempt
+// always miss), and every event closure captures at most (this, handle,
+// epoch, region) -- inside both Simulator::Action's and
+// Resource::DoneFn's inline buffers, so the steady-state request flow
+// allocates nothing.
 class MultiRegionSim {
  public:
   explicit MultiRegionSim(const MultiRegionConfig& cfg)
@@ -332,13 +334,13 @@ class MultiRegionSim {
   }
 
   MultiRegionResult run() {
-    const std::vector<TrafficRequest> traffic = generate_traffic(
-        cfg_.traffic, cfg_.duration_s, static_cast<unsigned>(down_.size()),
-        Rng(cfg_.seed, kTrafficStream).next());
-    res_.requests = traffic.size();
+    traffic_ = generate_traffic(cfg_.traffic, cfg_.duration_s,
+                                static_cast<unsigned>(down_.size()),
+                                Rng(cfg_.seed, kTrafficStream).next());
+    res_.requests = traffic_.size();
     recs_.reserve(1024);
     free_.reserve(1024);
-    sim_.reserve(traffic.size() / 4 + 1024);
+    sim_.reserve(pending_bound());
 
     wan_.install(sim_);
     res_.link_failures = wan_.link_failures();
@@ -378,10 +380,11 @@ class MultiRegionSim {
       schedule_probe(r, interval_ms);
     }
 
-    for (std::size_t i = 0; i < traffic.size(); ++i) {
-      const TrafficRequest& rq = traffic[i];
-      sim_.schedule_at(rq.t_ms, [this, rq] { start_request(rq); });
-    }
+    // Arrivals stream in one at a time (schedule_arrival) under seqs
+    // reserved here, where scheduling them all up front would have
+    // numbered them: same keys, same order, one arrival pending.
+    arrival_seq0_ = sim_.reserve_seqs(traffic_.size());
+    if (!traffic_.empty()) schedule_arrival(0);
 
     // Probes and WAN events end at the horizon; requests resolve via
     // timeouts, so the queue drains on its own.
@@ -443,6 +446,31 @@ class MultiRegionSim {
     rec.timeout = {};
     ++rec.epoch;  // epochs never reset, so stale events can never match
     free_.push_back(h);
+  }
+
+  /// Arrival i under its reserved seq.  Its action first schedules
+  /// arrival i+1 -- the traffic is sorted, so that key is strictly after
+  /// the firing one -- then starts request i.
+  void schedule_arrival(std::size_t i) {
+    sim_.schedule_reserved(traffic_[i].t_ms, arrival_seq0_ + i, [this, i] {
+      if (i + 1 < traffic_.size()) schedule_arrival(i + 1);
+      start_request(traffic_[i]);
+    });
+  }
+
+  /// Pending-event bound for sim_.reserve(): the most arrivals inside
+  /// any window of one full retry chain (every attempt timing out), each
+  /// holding a timeout plus a hop or completion -- cancelled timeouts
+  /// stay queued until their time -- plus room for probes and WAN events.
+  std::size_t pending_bound() const {
+    const double chain_ms =
+        fo_.timeout_ms * static_cast<double>(fo_.max_retries + 1);
+    std::size_t peak = 0;
+    for (std::size_t lo = 0, hi = 0; hi < traffic_.size(); ++hi) {
+      while (traffic_[hi].t_ms - traffic_[lo].t_ms > chain_ms) ++lo;
+      peak = std::max(peak, hi - lo + 1);
+    }
+    return 2 * peak + 1024;
   }
 
   // --- failover machinery ------------------------------------------
@@ -731,6 +759,8 @@ class MultiRegionSim {
   std::vector<unsigned> scratch_order_;
   std::vector<ReqRec> recs_;
   std::vector<std::uint32_t> free_;
+  std::vector<TrafficRequest> traffic_;  // sorted open-loop arrivals
+  std::uint64_t arrival_seq0_ = 0;       // seq reserved for traffic_[0]
   double window_ms_ = 0;
   MultiRegionResult res_;
 };

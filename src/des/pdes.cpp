@@ -309,6 +309,10 @@ std::uint64_t ParallelEngine::refit_moves() const {
   return sum_kernels([](const Simulator& s) { return s.refit_moves(); });
 }
 
+std::uint64_t ParallelEngine::spliced() const {
+  return sum_kernels([](const Simulator& s) { return s.spliced(); });
+}
+
 #if ARCH21_OBS_ENABLED
 void ParallelEngine::publish_metrics() const {
   auto& m = obs::MetricsRegistry::global();

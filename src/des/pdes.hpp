@@ -126,10 +126,11 @@ class ParallelEngine {
   /// Total events executed / cancelled across LPs (id order).
   std::uint64_t executed() const;
   std::uint64_t cancelled() const;
-  /// Summed ladder re-fits and re-placed events of the LP kernels
-  /// (Simulator::refits() / refit_moves()).
+  /// Summed ladder re-fits, re-placed events and drain splices of the
+  /// LP kernels (Simulator::refits() / refit_moves() / spliced()).
   std::uint64_t refits() const;
   std::uint64_t refit_moves() const;
+  std::uint64_t spliced() const;
 
 #if ARCH21_OBS_ENABLED
   /// Publish run counters into the global metrics registry
@@ -239,6 +240,7 @@ class LoopbackEngine {
   std::uint64_t cancelled() const noexcept { return sim_.cancelled(); }
   std::uint64_t refits() const noexcept { return sim_.refits(); }
   std::uint64_t refit_moves() const noexcept { return sim_.refit_moves(); }
+  std::uint64_t spliced() const noexcept { return sim_.spliced(); }
 
  private:
   PartitionSpec spec_;

@@ -54,6 +54,23 @@ class ReferenceSimulator {
     }
   }
 
+  /// Deferred insertion (API parity with des::Simulator): a block of
+  /// sequence numbers reserved now, consumed by schedule_reserved().
+  std::uint64_t reserve_seqs(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  void schedule_reserved(Time t, std::uint64_t seq, Action action) {
+    if (t < now_ || seq >= next_seq_) {
+      throw std::invalid_argument(
+          "ReferenceSimulator::schedule_reserved: bad time or seq");
+    }
+    queue_.push_back(Event{t, seq, std::move(action)});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
+  }
+
   /// Timestamp of the earliest pending event, or kForever when idle.
   Time next_time() const noexcept {
     return queue_.empty() ? kForever : queue_.front().t;

@@ -179,6 +179,7 @@ void Simulator::place(Event ev) {
           return earlier(a, Key{c.t, c.seq});
         });
     scratch_.insert(it, ev);
+    ++spliced_;
     return;
   }
   ++size_;
@@ -413,17 +414,18 @@ void Simulator::reanchor() {
 bool Simulator::maybe_rebucket() {
   // Only judge the fit once the gap estimator has real history behind
   // it and the executions since the last anchor cover the events a
-  // re-fit would move (the amortization gate), and re-fit only on a >2x
-  // mismatch either way.
+  // re-fit would move (the amortization gate), and re-fit only on a
+  // mismatch beyond the hysteresis either way.
   constexpr std::uint64_t kMinExecuted = 64;
   const std::uint64_t since = executed_ - anchor_executed_;
   if (since < kMinExecuted || since < ladder_size_ || !(gap_ewma_ > 0)) {
     return false;
   }
-  double target = gap_ewma_ * kGapsPerBucket;
-  const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
-  if (spread_w > target) target = spread_w;
-  if (!(target > width_ * 2.0) && !(target * 2.0 < width_)) return false;
+  const double target = fit_width();
+  if (!(target > width_ * kRefitHysteresis) &&
+      !(target * kRefitHysteresis < width_)) {
+    return false;
+  }
   // Collect every live ladder event (the cursor bucket's consumed prefix
   // is dead and excluded), re-seat the window at the clock, and re-place
   // under the new width; events the narrower window no longer covers
@@ -516,11 +518,16 @@ const Simulator::Key* Simulator::peek() {
       }
     }
     curp = &buckets_[cur_bucket_ & kBucketMask];
-    if (heapified_bucket_ == cur_bucket_) break;
-    // Fresh bucket: the one spot where ladder geometry is re-judged
-    // against the gap estimator (cheap compare; the re-fit itself is
-    // rare) before the first-visit purge + sort.
+    // Re-judge the ladder geometry against the gap estimator (a cheap
+    // gate; the re-fit itself is rare) on every fresh bucket, and on the
+    // bucket the cursor already ordered when its last drain found it
+    // wider than the fit check accepts: under a far-too-wide width every
+    // new event lands in the cursor bucket and the cursor never reaches
+    // a fresh one.
+    const bool resident = heapified_bucket_ == cur_bucket_;
+    if (resident && !wide_bucket_) break;
     if (maybe_rebucket()) continue;
+    if (resident) break;
     // First visit since the bucket filled: drop already-cancelled events
     // in one compaction pass, then one sort instead of a sift_up per
     // insert (amortized O(log bucket) per event, contiguous).
@@ -600,6 +607,19 @@ void Simulator::schedule_at(Time t, Action&& action) {
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
   }
   insert(Event{t, next_seq_++, kNoSlot, store_action(std::move(action))});
+}
+
+void Simulator::schedule_reserved(Time t, std::uint64_t seq,
+                                  Action&& action) {
+  if (seq >= next_seq_) {
+    throw std::invalid_argument(
+        "Simulator::schedule_reserved: seq was never reserved");
+  }
+  if (t < now_ || !earlier(fired_key_, Key{t, seq})) {
+    throw std::invalid_argument(
+        "Simulator::schedule_reserved: key not after the firing event");
+  }
+  insert(Event{t, seq, kNoSlot, store_action(std::move(action))});
 }
 
 void Simulator::schedule_n(TimedAction* evs, std::size_t n) {
@@ -685,6 +705,7 @@ bool Simulator::fire_event(const Event& ev) {
     }
   }
   now_ = ev.t;
+  fired_key_ = Key{ev.t, ev.seq};
   ++executed_;
 #if ARCH21_OBS_ENABLED
   if (trace_) trace_->instant(tr_fire_, ev.t, trace_tid_);
@@ -709,19 +730,41 @@ bool Simulator::fire_event(const Event& ev) {
 std::uint64_t Simulator::drain_bucket(Time until) {
   // peek() has just heapified the cursor bucket (and the overflow tier
   // if nonempty) and established that the bucket head is due.  Pop the
-  // whole due prefix -- everything at or before `until` and before the
-  // overflow head -- into the scratch span in one heap-drain pass, then
-  // fire the span as a tight loop.  All other pending events (later
-  // buckets, overflow) are at or past the splice bound computed below,
-  // so only *new* inserts can land inside the span; place() detects
-  // those against batch_limit_ and splices them into the sorted unfired
-  // remainder, which preserves the exact step()-at-a-time order without
-  // ever aborting the batch.
+  // whole due prefix -- everything at or before `until`, before the
+  // overflow head and within the drain's reach (below) -- into the
+  // scratch span in one heap-drain pass, then fire the span as a tight
+  // loop.  All other pending events (later buckets, overflow) are at or
+  // past the splice bound computed below, so only *new* inserts can
+  // land inside the span; place() detects those against batch_limit_
+  // and splices them into the sorted unfired remainder, which preserves
+  // the exact step()-at-a-time order without ever aborting the batch.
   Bucket& b = buckets_[cur_bucket_ & kBucketMask];
   Key lim{until, ~std::uint64_t{0}};
   if (!overflow_empty()) {
     const Key ok = overflow_head();
     if (earlier(ok, lim)) lim = ok;
+  }
+  // Reach: a drain covers at most the widest bucket the fit check
+  // accepts (kRefitHysteresis x fit_width()) past its first event, so
+  // on any ladder maybe_rebucket() calls fitted the cap lies at or past
+  // the bucket's end wall and changes nothing.  It binds only on a
+  // misfit: a bucket anchored thousands of gaps wide -- a first anchor
+  // that saw only a few far-apart timers -- would otherwise be drained
+  // whole, far timers included, and the splice bound would sit past
+  // them: the whole run would become one drain, every insert shifting
+  // a long sorted span, with no peek() in between to re-judge the
+  // width.  Before the estimators have any history the drain covers
+  // only its first event's instant.  A reach short of the end wall is
+  // the misfit evidence that makes the next peek() re-judge the
+  // geometry even if the cursor stays on this bucket (wide_bucket_).
+  const double end_wall_t =
+      origin_ + static_cast<double>(cur_bucket_ + 1) * width_;
+  {
+    const Key& head = b.keys[cur_sorted_ ? cur_head_ : 0];
+    const Key reach{head.t + kRefitHysteresis * fit_width(),
+                    ~std::uint64_t{0}};
+    if (earlier(reach, lim)) lim = reach;
+    wide_bucket_ = reach.t < end_wall_t;
   }
   scratch_.clear();
   bool emptied = false;
@@ -765,17 +808,17 @@ std::uint64_t Simulator::drain_bucket(Time until) {
   // slice conditions give lim >= every span key and lim <= the bucket
   // remainder (if any); when the bucket drained empty the rest of the
   // ladder lives at or past the bucket's end wall, so the bound extends
-  // there -- that is what lets a self-perpetuating stream (each action
-  // scheduling its successor a fraction of a bucket ahead) chain through
-  // the whole bucket span in ONE drain call instead of paying a
-  // peek/place/drain round-trip per event.  The max-with-span-tail guard
-  // covers the fp edge where an event at the exact end wall was floored
-  // into this bucket.
+  // toward it, up to the reach -- that is what lets a self-perpetuating
+  // stream (each action scheduling its successor a fraction of a bucket
+  // ahead) chain through the bucket in ONE drain call instead of paying
+  // a peek/place/drain round-trip per event.  Inserts at or past the
+  // bound take the ladder path, and the next peek() re-judges the
+  // width.  The max-with-span-tail guard covers the fp edge where an
+  // event at the exact end wall was floored into this bucket.
   {
     Key bound = lim;
     if (emptied) {
-      const Key end_wall{
-          origin_ + static_cast<double>(cur_bucket_ + 1) * width_, 0};
+      const Key end_wall{end_wall_t, 0};
       if (earlier(end_wall, bound)) bound = end_wall;
       const Key span_max{scratch_[popped - 1].t, scratch_[popped - 1].seq};
       if (earlier(bound, span_max)) bound = span_max;

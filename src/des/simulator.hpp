@@ -37,7 +37,18 @@
 // remainder of the span, so it fires within the same drain -- a
 // self-perpetuating stream chains through a whole bucket in one call --
 // and batch execution order stays element-for-element identical to
-// step()-at-a-time execution.
+// step()-at-a-time execution.  A drain never reaches further past its
+// first event than the widest bucket the geometry check accepts --
+// neither its slice nor its splice bound -- so a ladder anchored far
+// too wide cannot turn the whole run into one drain whose every insert
+// shifts a long sorted span.
+//
+// Deferred insertion: reserve_seqs() hands out a block of sequence
+// numbers that schedule_reserved() consumes later, so a presorted
+// open-loop stream can enter the queue one element at a time (each
+// element scheduling its successor) under exactly the keys up-front
+// scheduling would have given it -- same order, a fraction of the
+// queue and action-slab footprint.
 //
 // Cancellation: schedule_cancellable() stamps the event with a slot index
 // into a generation-counted side table, so cancel() is one array indexing
@@ -99,6 +110,29 @@ class Simulator {
 
   /// Schedule `action` at absolute time `t` (must be >= now()).
   void schedule_at(Time t, Action&& action);
+
+  /// Deferred insertion: reserve a block of `n` consecutive sequence
+  /// numbers now and return the first.  An event later scheduled with
+  /// schedule_reserved() under one of them gets the (t, seq) key it
+  /// would have had if it were scheduled at reservation time, so it
+  /// fires in exactly the same order -- but it occupies no queue or slab
+  /// storage until then.  A presorted open-loop stream reserves one seq
+  /// per element and has each element schedule its successor, keeping a
+  /// single stream event pending instead of the whole stream.
+  std::uint64_t reserve_seqs(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedule `action` at absolute time `t` under `seq`, a sequence
+  /// number from reserve_seqs() that no other event uses.  Throws
+  /// std::invalid_argument unless seq was reserved, t >= now() and
+  /// (t, seq) is strictly after the key of the last executed event --
+  /// the event firing now, when called from an action.  That keeps the
+  /// batched drain's splice point strictly after the firing element,
+  /// exactly as for a freshly numbered event.
+  void schedule_reserved(Time t, std::uint64_t seq, Action&& action);
 
   /// One (time, action) entry of a schedule_n() batch.
   struct TimedAction {
@@ -177,6 +211,10 @@ class Simulator {
   /// refit_moves() <= executed().
   std::uint64_t refits() const noexcept { return refits_; }
   std::uint64_t refit_moves() const noexcept { return refit_moves_; }
+  /// Inserts spliced into the unfired remainder of an active batched
+  /// drain (see drain_bucket()).  Geometry bookkeeping like refits():
+  /// the splice bound depends on bucket width, never on event order.
+  std::uint64_t spliced() const noexcept { return spliced_; }
   /// Current ladder bucket width (0 before the first anchor).
   Time bucket_width() const noexcept { return width_; }
 
@@ -282,6 +320,9 @@ class Simulator {
   /// enough for that and keeps buckets twice as fine as a larger slack
   /// would (lower occupancy = cheaper pops).
   static constexpr double kSpreadSlack = 2.0;
+  /// A re-fit runs only when the fit width and the live width differ by
+  /// more than this factor either way (see maybe_rebucket()).
+  static constexpr double kRefitHysteresis = 2.0;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
   // -- SoA min-heap primitives (keys compared, both lanes moved) --
@@ -344,19 +385,34 @@ class Simulator {
   /// Re-seat the ladder window at the overflow minimum and pull every
   /// overflow event inside the new window into its bucket.
   void reanchor();
-  /// Geometry misfit check, run when the cursor enters a fresh bucket:
-  /// if the width the anchor policy would pick *now* disagrees with the
-  /// live width by more than 2x either way, re-place every live ladder
-  /// event under the new width.  A re-fit costs O(live ladder events),
-  /// so it may run only once the executions since the last anchor reach
-  /// max(64, ladder population): each re-fit is paid for by at least as
-  /// many executed events as it moves, and refit_moves() <= executed()
-  /// always holds; the 2x hysteresis alone bounds nothing when the gap
-  /// estimate is noisy.  Returns true if the ladder was re-anchored, in which case the
-  /// caller must rescan from the restarted cursor.  This is what rescues
-  /// a ladder whose first anchor had no execution history to consult --
-  /// e.g. a per-LP PDES kernel seeded with one event whose fallback
-  /// width lands far from the real event gap.
+  /// The width the anchor policy would pick now: kGapsPerBucket mean
+  /// gaps, widened so the window spans kSpreadSlack x the live
+  /// scheduling horizon.
+  double fit_width() const noexcept {
+    const double gap_w = gap_ewma_ * kGapsPerBucket;
+    const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
+    return spread_w > gap_w ? spread_w : gap_w;
+  }
+  /// Geometry misfit check, run when peek() settles the cursor on a
+  /// fresh bucket -- and on the resident one when its last drain found
+  /// it wider than the widest width this check accepts (wide_bucket_),
+  /// so a ladder whose events all keep landing in the bucket under the
+  /// cursor (a width picked before any history, far wider than the
+  /// event gap) is still re-judged.  If fit_width() disagrees with the
+  /// live width by more than kRefitHysteresis either way, re-place
+  /// every live ladder event under the new width.  A re-fit costs
+  /// O(live ladder events), so it may run only once the executions
+  /// since the last anchor reach max(64, ladder population): each
+  /// re-fit is paid for by at least as many executed events as it
+  /// moves, and refit_moves() <= executed() always holds; the
+  /// hysteresis alone bounds nothing when the gap estimate is noisy.
+  /// Returns true if the ladder was re-anchored, in which case the
+  /// caller must rescan from the restarted cursor.  This is what
+  /// rescues a ladder whose first anchor had no execution history to
+  /// consult -- a per-LP PDES kernel seeded with one event whose
+  /// fallback width lands far from the real event gap, or a kernel fed
+  /// one streamed arrival at a time whose first anchor sees only a few
+  /// far-apart timers.
   bool maybe_rebucket();
   /// Empty `b` after its last event left.  A bucket whose storage grew
   /// past kRetainedCapacity (a burst of same-instant events -- a fan-out's
@@ -418,6 +474,8 @@ class Simulator {
   double live_spread_ = 0;       // decaying max of (t - now) over inserts
   std::uint64_t anchor_executed_ = 0;  // executed_ at the last (re)anchor
   Time last_exec_t_ = 0;
+  /// Key of the last executed event: schedule_reserved()'s lower bound.
+  Key fired_key_{-kForever, 0};
   bool head_in_overflow_ = false;
   /// Copy of the overflow head's key when head_in_overflow_ (peek()
   /// returns a pointer to it; bucket heads are pointed at in place).
@@ -441,6 +499,10 @@ class Simulator {
   std::vector<Event> sort_buf_;  // joined staging for sort_bucket()
   Key batch_limit_{-kForever, 0};
   std::size_t batch_pos_ = 0;  // next scratch_ index the drain will fire
+  /// The last drain's reach fell short of its bucket's end wall: the
+  /// cursor bucket is wider than maybe_rebucket() accepts, so peek()
+  /// re-judges the geometry even if the cursor stays on it.
+  bool wide_bucket_ = false;
 
   std::vector<Action> actions_;
   std::vector<std::uint32_t> free_actions_;
@@ -454,6 +516,7 @@ class Simulator {
   std::uint64_t cancelled_ = 0;
   std::uint64_t refits_ = 0;
   std::uint64_t refit_moves_ = 0;
+  std::uint64_t spliced_ = 0;
 
 #if ARCH21_OBS_ENABLED
   obs::TraceBuffer* trace_ = nullptr;

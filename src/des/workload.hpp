@@ -293,4 +293,98 @@ WorkloadResult replay_refit_thrash(std::uint64_t seed, std::uint32_t queries,
   return std::move(c->out);
 }
 
+/// Cold-anchor replay (times in ms): the kernel's first anchor sees only
+/// a few far-apart timers -- a self-re-arming 250 ms probe and two
+/// one-shots at 50% and 80% of the horizon -- plus the head of a
+/// self-perpetuating stream of `n` elements with exponential gaps of
+/// mean `gap_ms`.  Each element also issues a call: a reply 1-3 ms
+/// ahead (one in 64 straggles to 200 ms) that cancels the call's 150 ms
+/// cancellable timeout, so about 150 ms of timeouts stay pending behind
+/// every new reply, as in an open-loop client with per-call timeouts.
+/// This is an arrival stream fed to the kernel one element at a time:
+/// the backlog-derived first bucket width is thousands of stream gaps,
+/// and unless a drain's reach is capped and the geometry is re-judged
+/// while the cursor stays on that first bucket, the run becomes one
+/// drain in which every reply is spliced in ahead of all pending
+/// timeouts.  `step_ms` > 0 runs the replay in run(until) steps of that
+/// length.  `widths`, if given and the kernel reports bucket_width(),
+/// receives the width each time the probe fires.
+template <typename Sim>
+WorkloadResult replay_cold_stream(std::uint64_t seed, std::uint32_t n,
+                                  double gap_ms, double step_ms = 0,
+                                  std::vector<double>* widths = nullptr) {
+  using Action = typename Sim::Action;
+  using Handle =
+      decltype(std::declval<Sim&>().schedule_cancellable_at(0.0, Action{}));
+  struct Ctx {
+    Sim sim;
+    Rng rng;
+    WorkloadResult out;
+    std::vector<Handle> timeouts;  // one per element
+    std::uint32_t n = 0;
+    double gap = 0;
+    double horizon = 0;
+    std::uint32_t probes = 0;
+    std::vector<double>* widths = nullptr;
+    explicit Ctx(std::uint64_t seed) : rng(seed) {}
+  };
+  auto ctx = std::make_unique<Ctx>(seed);
+  Ctx* c = ctx.get();
+  c->widths = widths;
+  c->n = n;
+  c->gap = gap_ms;
+  c->horizon = gap_ms * n;
+  c->timeouts.resize(n);
+  c->out.order.reserve(std::size_t{2} * n + 64);
+  // Element i logs id 3i, its reply 3i+1, its (rarely fired) timeout
+  // 3i+2, and schedules element i+1.
+  struct Element {
+    Ctx* c;
+    std::uint32_t i;
+    void operator()() const {
+      c->out.order.push_back(3 * i);
+      Ctx* cc = c;
+      const std::uint32_t k = i;
+      const double reply =
+          k % 64 == 63 ? 200.0 : c->rng.uniform(1.0, 3.0);
+      c->sim.schedule(reply, [cc, k] {
+        cc->out.order.push_back(3 * k + 1);
+        cc->sim.cancel(cc->timeouts[k]);
+      });
+      c->timeouts[k] = c->sim.schedule_cancellable(
+          150.0, [cc, k] { cc->out.order.push_back(3 * k + 2); });
+      if (i + 1 < c->n) {
+        c->sim.schedule(c->rng.exponential(c->gap), Element{c, i + 1});
+      }
+    }
+  };
+  struct Probe {
+    Ctx* c;
+    void operator()() const {
+      c->out.order.push_back(3 * c->n + 2 + c->probes++);
+      if constexpr (requires { c->sim.bucket_width(); }) {
+        if (c->widths) c->widths->push_back(c->sim.bucket_width());
+      }
+      if (c->sim.now() + 250.0 <= c->horizon) c->sim.schedule(250.0, *this);
+    }
+  };
+  c->sim.schedule_at(c->rng.exponential(gap_ms), Element{c, 0});
+  c->sim.schedule_at(250.0, Probe{c});
+  c->sim.schedule_at(0.5 * c->horizon,
+                     [c] { c->out.order.push_back(3 * c->n); });
+  c->sim.schedule_at(0.8 * c->horizon,
+                     [c] { c->out.order.push_back(3 * c->n + 1); });
+  if (step_ms > 0) {
+    for (double until = step_ms; !c->sim.idle(); until += step_ms) {
+      c->sim.run(until);
+    }
+  } else {
+    c->sim.run();
+  }
+  c->out.final_now = c->sim.now();
+  c->out.executed = c->sim.executed();
+  c->out.cancelled = c->sim.cancelled();
+  return std::move(c->out);
+}
+
 }  // namespace arch21::des

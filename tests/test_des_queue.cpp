@@ -3,7 +3,8 @@
 // order on identical seeded workloads), plus the edge cases the ladder
 // introduces over a single heap: events crossing the ladder/overflow
 // boundary, generation-stamped handle reuse, ladder re-fit amortization,
-// and large-scale executed()/cancelled() bookkeeping.
+// deferred insertion under reserved seqs, cold-anchor re-fits, and
+// large-scale executed()/cancelled() bookkeeping.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,6 +118,153 @@ TEST(DesQueueRefit, OneEventSeedRefitsToTheStreamGap) {
   }
   EXPECT_EQ(instants, sim.refits());
 #endif
+}
+
+// --- deferred insertion and cold anchors -------------------------------
+
+// A presorted arrival stream on a 0.5 ms grid (many exact-time ties,
+// among arrivals and with follow-ups), each arrival scheduling a
+// follow-up 0.5-2 ms ahead -- also on the grid, so follow-ups tie
+// exactly with later arrivals.  kUpFront schedules every arrival before
+// run(); kReserved streams them (each arrival schedules its successor)
+// under seqs reserved where the up-front loop would have run; kFresh
+// streams them with ordinary fresh seqs, under which a tie between a
+// follow-up and a later arrival resolves the other way.
+enum class Feed { kUpFront, kReserved, kFresh };
+
+template <typename Sim>
+std::vector<std::uint32_t> replay_presorted(std::uint64_t seed, Feed feed) {
+  constexpr std::uint32_t kArrivals = 4000;
+  struct Ctx {
+    Sim sim;
+    Rng rng;
+    std::vector<double> times;
+    std::vector<std::uint32_t> order;
+    std::uint64_t seq0 = 0;
+    Feed feed = Feed::kUpFront;
+    explicit Ctx(std::uint64_t s) : rng(s) {}
+  };
+  auto ctx = std::make_unique<Ctx>(seed);
+  Ctx* c = ctx.get();
+  c->feed = feed;
+  Rng tr(seed, 1);
+  double t = 0;
+  for (std::uint32_t i = 0; i < kArrivals; ++i) {
+    t += 0.5 * static_cast<double>(tr.below(2));  // 0 or 0.5 ms: ties
+    c->times.push_back(t);
+  }
+  struct Arrival {
+    Ctx* c;
+    std::uint32_t i;
+    void operator()() const {
+      if (c->feed != Feed::kUpFront && i + 1 < c->times.size()) {
+        if (c->feed == Feed::kReserved) {
+          c->sim.schedule_reserved(c->times[i + 1], c->seq0 + i + 1,
+                                   Arrival{c, i + 1});
+        } else {
+          c->sim.schedule_at(c->times[i + 1], Arrival{c, i + 1});
+        }
+      }
+      c->order.push_back(i);
+      const double ahead = 0.5 * static_cast<double>(1 + c->rng.below(4));
+      Ctx* cc = c;
+      const std::uint32_t id = 100'000 + i;
+      c->sim.schedule(ahead, [cc, id] { cc->order.push_back(id); });
+    }
+  };
+  // A few unrelated early timers, so the stream's seqs do not start at 0.
+  c->sim.schedule_at(1.0, [c] { c->order.push_back(900'000); });
+  c->sim.schedule_at(7.5, [c] { c->order.push_back(900'001); });
+  switch (feed) {
+    case Feed::kUpFront:
+      for (std::uint32_t i = 0; i < kArrivals; ++i) {
+        c->sim.schedule_at(c->times[i], Arrival{c, i});
+      }
+      break;
+    case Feed::kReserved:
+      c->seq0 = c->sim.reserve_seqs(kArrivals);
+      c->sim.schedule_reserved(c->times[0], c->seq0, Arrival{c, 0});
+      break;
+    case Feed::kFresh:
+      c->sim.schedule_at(c->times[0], Arrival{c, 0});
+      break;
+  }
+  c->sim.run();
+  return std::move(c->order);
+}
+
+TEST(DesQueueReserved, StreamedReservedSeqsReproduceUpFrontScheduling) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto ref = replay_presorted<ReferenceSimulator>(seed, Feed::kUpFront);
+    EXPECT_EQ(replay_presorted<Simulator>(seed, Feed::kUpFront), ref)
+        << "seed " << seed;
+    EXPECT_EQ(replay_presorted<Simulator>(seed, Feed::kReserved), ref)
+        << "seed " << seed;
+    EXPECT_EQ(replay_presorted<ReferenceSimulator>(seed, Feed::kReserved), ref)
+        << "seed " << seed;
+    // The ties are real: fresh seqs would reorder them.
+    EXPECT_NE(replay_presorted<Simulator>(seed, Feed::kFresh), ref)
+        << "seed " << seed;
+  }
+}
+
+TEST(DesQueueReserved, KeyAtOrBeforeTheFiringEventThrows) {
+  Simulator sim;
+  const std::uint64_t seq0 = sim.reserve_seqs(4);
+  int ran = 0;
+  sim.schedule_reserved(2.0, seq0 + 1, [&] {
+    ++ran;
+    // (2.0, seq0 + 1) is firing: its own key and an earlier seq at the
+    // same time are not strictly after it, nor is an earlier time.
+    EXPECT_THROW(sim.schedule_reserved(2.0, seq0 + 1, [] {}),
+                 std::invalid_argument);
+    EXPECT_THROW(sim.schedule_reserved(2.0, seq0, [] {}),
+                 std::invalid_argument);
+    EXPECT_THROW(sim.schedule_reserved(1.5, seq0 + 2, [] {}),
+                 std::invalid_argument);
+    // A later seq at the same instant is fine.
+    sim.schedule_reserved(2.0, seq0 + 2, [&] { ++ran; });
+  });
+  // A seq that was never handed out is refused.
+  EXPECT_THROW(sim.schedule_reserved(3.0, seq0 + 4, [] {}),
+               std::invalid_argument);
+  sim.run();
+  EXPECT_EQ(ran, 2);
+  // After the run, the last executed key is (2.0, seq0 + 2).
+  EXPECT_THROW(sim.schedule_reserved(2.0, seq0, [] {}), std::invalid_argument);
+  sim.schedule_reserved(2.0, seq0 + 3, [&] { ++ran; });
+  sim.run();
+  EXPECT_EQ(ran, 3);
+}
+
+// The streamed-arrival shape: the first anchor sees a few far-apart
+// timers and the head of a 0.3 ms-gap stream, so it picks a width of
+// thousands of gaps.  Order must match the reference heap, in one run()
+// and in run(until) steps.  By the probe at 1 s of stream time the
+// width must be within [1, 16] stream gaps: in one run() that needs the
+// capped splice bound (else the first drain runs to the bucket's far
+// end wall and no geometry check happens inside it) and the fit check
+// on the resident bucket; in steps, the resident-bucket check alone.
+TEST(DesQueueColdAnchor, StreamAfterFarTimersRefitsAndMatchesReference) {
+  constexpr double kGap = 0.3;
+  constexpr std::uint32_t kN = 20'000;  // 6 s of stream
+  constexpr std::size_t kProbeAt1s = 3;  // probes fire every 250 ms
+  for (const std::uint64_t seed : kSeeds) {
+    for (const double step : {0.0, 50.0}) {
+      std::vector<double> widths;
+      const WorkloadResult ladder =
+          replay_cold_stream<Simulator>(seed, kN, kGap, step, &widths);
+      const WorkloadResult ref =
+          replay_cold_stream<ReferenceSimulator>(seed, kN, kGap, step);
+      EXPECT_EQ(ladder.order, ref.order) << "seed " << seed << " step " << step;
+      EXPECT_TRUE(ladder == ref) << "seed " << seed << " step " << step;
+      ASSERT_GT(widths.size(), kProbeAt1s);
+      EXPECT_GE(widths[kProbeAt1s], 1.0 * kGap)
+          << "seed " << seed << " step " << step;
+      EXPECT_LE(widths[kProbeAt1s], 16.0 * kGap)
+          << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 // A dense near-future stream anchors the ladder window tightly; events far

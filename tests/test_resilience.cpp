@@ -465,15 +465,17 @@ TEST(GoldenDigest, SerialFullStackTracedAndMetered) {
   auto entries = m.snapshot().entries;
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.name < b.name; });
-  // des.refits / des.refit_moves count ladder geometry work, which
-  // kernel tuning may change without changing any result, so they stay
-  // out of the pin.  Each re-fit emits one des.refit trace instant on
-  // top of the pinned record count.
+  // des.refits / des.refit_moves / des.spliced count ladder geometry
+  // work, which kernel tuning may change without changing any result,
+  // so they stay out of the pin.  Each re-fit emits one des.refit trace
+  // instant on top of the pinned record count.
   golden::Digest g;
   std::uint64_t refits = 0;
   for (const auto& e : entries) {
     if (e.name == "des.refits") refits = e.count;
-    if (e.name.rfind("des.refit", 0) == 0) continue;
+    if (e.name.rfind("des.refit", 0) == 0 || e.name == "des.spliced") {
+      continue;
+    }
     if (e.name.rfind("cluster.", 0) != 0 && e.name.rfind("des.", 0) != 0 &&
         e.name.rfind("slab.", 0) != 0) {
       continue;
