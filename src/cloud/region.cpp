@@ -340,7 +340,7 @@ class MultiRegionSim {
     res_.requests = traffic_.size();
     recs_.reserve(1024);
     free_.reserve(1024);
-    sim_.reserve(pending_bound());
+    sim_.reserve(1024);  // streamed arrivals keep the queue small
 
     wan_.install(sim_);
     res_.link_failures = wan_.link_failures();
@@ -456,21 +456,6 @@ class MultiRegionSim {
       if (i + 1 < traffic_.size()) schedule_arrival(i + 1);
       start_request(traffic_[i]);
     });
-  }
-
-  /// Pending-event bound for sim_.reserve(): the most arrivals inside
-  /// any window of one full retry chain (every attempt timing out), each
-  /// holding a timeout plus a hop or completion -- cancelled timeouts
-  /// stay queued until their time -- plus room for probes and WAN events.
-  std::size_t pending_bound() const {
-    const double chain_ms =
-        fo_.timeout_ms * static_cast<double>(fo_.max_retries + 1);
-    std::size_t peak = 0;
-    for (std::size_t lo = 0, hi = 0; hi < traffic_.size(); ++hi) {
-      while (traffic_[hi].t_ms - traffic_[lo].t_ms > chain_ms) ++lo;
-      peak = std::max(peak, hi - lo + 1);
-    }
-    return 2 * peak + 1024;
   }
 
   // --- failover machinery ------------------------------------------

@@ -343,6 +343,7 @@ void Simulator::reanchor() {
     const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
     if (spread_w > w) w = spread_w;
     width_ = w;
+    cold_ = !(gap_ewma_ > 0) && overflow_staging_.size() < kColdBacklog;
     origin_ = lo;
     anchor_executed_ = executed_;
     cur_bucket_ = 0;
@@ -391,6 +392,7 @@ void Simulator::reanchor() {
   const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
   if (spread_w > w) w = spread_w;
   width_ = w;
+  cold_ = !(gap_ewma_ > 0) && overflow_.size() < kColdBacklog;
   origin_ = lo;
   anchor_executed_ = executed_;
   cur_bucket_ = 0;
@@ -421,6 +423,7 @@ bool Simulator::maybe_rebucket() {
   if (since < kMinExecuted || since < ladder_size_ || !(gap_ewma_ > 0)) {
     return false;
   }
+  cold_ = false;  // judged with history: fitted from here on
   const double target = fit_width();
   if (!(target > width_ * kRefitHysteresis) &&
       !(target * kRefitHysteresis < width_)) {
@@ -519,13 +522,12 @@ const Simulator::Key* Simulator::peek() {
     }
     curp = &buckets_[cur_bucket_ & kBucketMask];
     // Re-judge the ladder geometry against the gap estimator (a cheap
-    // gate; the re-fit itself is rare) on every fresh bucket, and on the
-    // bucket the cursor already ordered when its last drain found it
-    // wider than the fit check accepts: under a far-too-wide width every
-    // new event lands in the cursor bucket and the cursor never reaches
-    // a fresh one.
+    // gate; the re-fit itself is rare) on every fresh bucket, and on a
+    // cold ladder also on the bucket the cursor already ordered: under a
+    // width picked before any history every new event may land in the
+    // cursor bucket, and the cursor would never reach a fresh one.
     const bool resident = heapified_bucket_ == cur_bucket_;
-    if (resident && !wide_bucket_) break;
+    if (resident && !cold_) break;
     if (maybe_rebucket()) continue;
     if (resident) break;
     // First visit since the bucket filled: drop already-cancelled events
@@ -615,7 +617,13 @@ void Simulator::schedule_reserved(Time t, std::uint64_t seq,
     throw std::invalid_argument(
         "Simulator::schedule_reserved: seq was never reserved");
   }
-  if (t < now_ || !earlier(fired_key_, Key{t, seq})) {
+  // The firing event: the span element the active drain just bumped
+  // past (place() splices only after it), else the last one executed.
+  const bool in_drain = batch_limit_.t > -kForever;
+  const Key firing =
+      in_drain ? Key{scratch_[batch_pos_ - 1].t, scratch_[batch_pos_ - 1].seq}
+               : fired_key_;
+  if (t < now_ || !earlier(firing, Key{t, seq})) {
     throw std::invalid_argument(
         "Simulator::schedule_reserved: key not after the firing event");
   }
@@ -705,7 +713,6 @@ bool Simulator::fire_event(const Event& ev) {
     }
   }
   now_ = ev.t;
-  fired_key_ = Key{ev.t, ev.seq};
   ++executed_;
 #if ARCH21_OBS_ENABLED
   if (trace_) trace_->instant(tr_fire_, ev.t, trace_tid_);
@@ -744,27 +751,20 @@ std::uint64_t Simulator::drain_bucket(Time until) {
     const Key ok = overflow_head();
     if (earlier(ok, lim)) lim = ok;
   }
-  // Reach: a drain covers at most the widest bucket the fit check
-  // accepts (kRefitHysteresis x fit_width()) past its first event, so
-  // on any ladder maybe_rebucket() calls fitted the cap lies at or past
-  // the bucket's end wall and changes nothing.  It binds only on a
-  // misfit: a bucket anchored thousands of gaps wide -- a first anchor
-  // that saw only a few far-apart timers -- would otherwise be drained
-  // whole, far timers included, and the splice bound would sit past
-  // them: the whole run would become one drain, every insert shifting
-  // a long sorted span, with no peek() in between to re-judge the
-  // width.  Before the estimators have any history the drain covers
-  // only its first event's instant.  A reach short of the end wall is
-  // the misfit evidence that makes the next peek() re-judge the
-  // geometry even if the cursor stays on this bucket (wide_bucket_).
-  const double end_wall_t =
-      origin_ + static_cast<double>(cur_bucket_ + 1) * width_;
-  {
+  // Cold ladder: the drain reaches at most the widest bucket the fit
+  // check accepts (kRefitHysteresis x fit_width()) past its first event
+  // -- only that event's instant before the estimators have history.
+  // A bucket anchored thousands of gaps wide over a few far-apart
+  // timers would otherwise be drained whole, far timers included, and
+  // the splice bound would sit past them: the whole run would become
+  // one drain, every insert shifting a long sorted span, with no peek()
+  // in between to re-judge the width.  The splice bound below never
+  // exceeds lim, so the cap covers it too.
+  if (cold_) [[unlikely]] {
     const Key& head = b.keys[cur_sorted_ ? cur_head_ : 0];
     const Key reach{head.t + kRefitHysteresis * fit_width(),
                     ~std::uint64_t{0}};
     if (earlier(reach, lim)) lim = reach;
-    wide_bucket_ = reach.t < end_wall_t;
   }
   scratch_.clear();
   bool emptied = false;
@@ -808,17 +808,17 @@ std::uint64_t Simulator::drain_bucket(Time until) {
   // slice conditions give lim >= every span key and lim <= the bucket
   // remainder (if any); when the bucket drained empty the rest of the
   // ladder lives at or past the bucket's end wall, so the bound extends
-  // toward it, up to the reach -- that is what lets a self-perpetuating
-  // stream (each action scheduling its successor a fraction of a bucket
-  // ahead) chain through the bucket in ONE drain call instead of paying
-  // a peek/place/drain round-trip per event.  Inserts at or past the
-  // bound take the ladder path, and the next peek() re-judges the
-  // width.  The max-with-span-tail guard covers the fp edge where an
-  // event at the exact end wall was floored into this bucket.
+  // there -- that is what lets a self-perpetuating stream (each action
+  // scheduling its successor a fraction of a bucket ahead) chain
+  // through the whole bucket span in ONE drain call instead of paying a
+  // peek/place/drain round-trip per event.  The max-with-span-tail
+  // guard covers the fp edge where an event at the exact end wall was
+  // floored into this bucket.
   {
     Key bound = lim;
     if (emptied) {
-      const Key end_wall{end_wall_t, 0};
+      const Key end_wall{
+          origin_ + static_cast<double>(cur_bucket_ + 1) * width_, 0};
       if (earlier(end_wall, bound)) bound = end_wall;
       const Key span_max{scratch_[popped - 1].t, scratch_[popped - 1].seq};
       if (earlier(bound, span_max)) bound = span_max;
@@ -829,12 +829,17 @@ std::uint64_t Simulator::drain_bucket(Time until) {
   // unfired remainder (see place()), growing scratch_ under us, so the
   // bound is re-read every iteration and the event is copied out before
   // firing (the vector may reallocate mid-action).
+  std::size_t last = 0;  // 1 + span index of the last execution
   for (batch_pos_ = 0; batch_pos_ < scratch_.size();) {
     const Event ev = scratch_[batch_pos_];
     ++batch_pos_;  // place() splices after this index; bump it first
-    if (fire_event(ev)) ++ran;
+    if (fire_event(ev)) {
+      ++ran;
+      last = batch_pos_;
+    }
   }
   batch_limit_ = Key{-kForever, 0};
+  if (last > 0) fired_key_ = Key{scratch_[last - 1].t, scratch_[last - 1].seq};
   return ran;
 }
 
@@ -868,7 +873,10 @@ bool Simulator::step(Time until) {
       continue;
     }
     const Event ev = pop_head();
+    const Key prev = fired_key_;
+    fired_key_ = Key{ev.t, ev.seq};  // schedule_reserved()'s bound
     if (fire_event(ev)) return true;
+    fired_key_ = prev;  // discarded: it never executed
   }
 }
 

@@ -37,11 +37,17 @@
 // remainder of the span, so it fires within the same drain -- a
 // self-perpetuating stream chains through a whole bucket in one call --
 // and batch execution order stays element-for-element identical to
-// step()-at-a-time execution.  A drain never reaches further past its
-// first event than the widest bucket the geometry check accepts --
-// neither its slice nor its splice bound -- so a ladder anchored far
-// too wide cannot turn the whole run into one drain whose every insert
-// shifts a long sorted span.
+// step()-at-a-time execution.
+//
+// Cold ladder: a first anchor over a backlog of only a few events (a
+// kernel fed one streamed arrival at a time sees a handful of far-apart
+// timers) has no density to go on and may pick a width thousands of
+// event gaps wide.  Until the geometry check has judged such a ladder
+// with execution history, a drain reaches no further past its first
+// event than the widest bucket that check accepts, and peek() re-judges
+// the bucket the cursor stays on -- otherwise the whole run would
+// become one drain whose every insert shifts a long sorted span.  A
+// ladder anchored over a real backlog, or fitted once, skips both.
 //
 // Deferred insertion: reserve_seqs() hands out a block of sequence
 // numbers that schedule_reserved() consumes later, so a presorted
@@ -323,6 +329,9 @@ class Simulator {
   /// A re-fit runs only when the fit width and the live width differ by
   /// more than this factor either way (see maybe_rebucket()).
   static constexpr double kRefitHysteresis = 2.0;
+  /// A history-less anchor over fewer events than this is cold: a
+  /// handful of far-apart timers says nothing about the event density.
+  static constexpr std::size_t kColdBacklog = 64;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
   // -- SoA min-heap primitives (keys compared, both lanes moved) --
@@ -394,11 +403,11 @@ class Simulator {
     return spread_w > gap_w ? spread_w : gap_w;
   }
   /// Geometry misfit check, run when peek() settles the cursor on a
-  /// fresh bucket -- and on the resident one when its last drain found
-  /// it wider than the widest width this check accepts (wide_bucket_),
-  /// so a ladder whose events all keep landing in the bucket under the
-  /// cursor (a width picked before any history, far wider than the
-  /// event gap) is still re-judged.  If fit_width() disagrees with the
+  /// fresh bucket -- and, on a cold ladder (cold_), on the resident one
+  /// too, since under a width picked before any history every new event
+  /// may land in the bucket under the cursor and the cursor never
+  /// reaches a fresh one.  The first call past the gate warms the
+  /// ladder.  If fit_width() disagrees with the
   /// live width by more than kRefitHysteresis either way, re-place
   /// every live ladder event under the new width.  A re-fit costs
   /// O(live ladder events), so it may run only once the executions
@@ -474,8 +483,16 @@ class Simulator {
   double live_spread_ = 0;       // decaying max of (t - now) over inserts
   std::uint64_t anchor_executed_ = 0;  // executed_ at the last (re)anchor
   Time last_exec_t_ = 0;
-  /// Key of the last executed event: schedule_reserved()'s lower bound.
+  /// Key of the last event executed outside the running drain (step(),
+  /// or a finished drain's last execution): schedule_reserved()'s lower
+  /// bound when no drain is active.  Inside a drain the bound is the
+  /// firing span element, so the per-event path stores nothing.
   Key fired_key_{-kForever, 0};
+  /// The ladder was anchored, without execution history, over fewer
+  /// than kColdBacklog events, and maybe_rebucket() has not yet judged
+  /// it: drains cap their reach and peek() re-judges the resident
+  /// bucket (see drain_bucket()).
+  bool cold_ = false;
   bool head_in_overflow_ = false;
   /// Copy of the overflow head's key when head_in_overflow_ (peek()
   /// returns a pointer to it; bucket heads are pointed at in place).
@@ -499,10 +516,6 @@ class Simulator {
   std::vector<Event> sort_buf_;  // joined staging for sort_bucket()
   Key batch_limit_{-kForever, 0};
   std::size_t batch_pos_ = 0;  // next scratch_ index the drain will fire
-  /// The last drain's reach fell short of its bucket's end wall: the
-  /// cursor bucket is wider than maybe_rebucket() accepts, so peek()
-  /// re-judges the geometry even if the cursor stays on it.
-  bool wide_bucket_ = false;
 
   std::vector<Action> actions_;
   std::vector<std::uint32_t> free_actions_;

@@ -237,6 +237,37 @@ TEST(DesQueueReserved, KeyAtOrBeforeTheFiringEventThrows) {
   EXPECT_EQ(ran, 3);
 }
 
+// Outside a drain the bound is the last *executed* key: a step() action
+// is bounded by its own key, and a cancelled event discarded after the
+// last execution -- by step() or at the tail of a drain -- does not
+// raise it.
+TEST(DesQueueReserved, BoundIsTheLastExecutedKeyAcrossDiscards) {
+  for (const bool stepped : {true, false}) {
+    Simulator sim;
+    const std::uint64_t seq0 = sim.reserve_seqs(3);
+    int ran = 0;
+    EventHandle late;
+    sim.schedule_reserved(1.0, seq0 + 1, [&] {
+      ++ran;
+      EXPECT_THROW(sim.schedule_reserved(1.0, seq0, [] {}),
+                   std::invalid_argument);
+      sim.cancel(late);
+    });
+    late = sim.schedule_cancellable_at(3.0, [&] { ++ran; });
+    if (stepped) {
+      EXPECT_TRUE(sim.step());
+      EXPECT_FALSE(sim.step());  // discards the cancelled event at 3.0
+    } else {
+      sim.run();
+    }
+    EXPECT_EQ(sim.cancelled(), 1u);
+    // (2.0, seq0 + 2) lies between the last execution and the discard.
+    sim.schedule_reserved(2.0, seq0 + 2, [&] { ++ran; });
+    sim.run();
+    EXPECT_EQ(ran, 2) << (stepped ? "step" : "run");
+  }
+}
+
 // The streamed-arrival shape: the first anchor sees a few far-apart
 // timers and the head of a 0.3 ms-gap stream, so it picks a width of
 // thousands of gaps.  Order must match the reference heap, in one run()
