@@ -162,11 +162,11 @@ int main(int argc, char** argv) {
       }));
 
   // An open-loop stream fed one element at a time (0.3 ms gaps, a 1-3 ms
-  // reply cancelling a 150 ms timeout per element) behind a first anchor
-  // that saw only a few far-apart timers: the width starts thousands of
-  // gaps wide, so the drain reach and the resident-bucket fit check
-  // decide whether the run collapses into one drain that splices every
-  // reply in ahead of all pending timeouts.
+  // reply cancelling a 150 ms timeout per element) whose initial backlog
+  // is only a few far-apart timers: a width sized from that backlog would
+  // be thousands of gaps, so the kernel's cold start decides whether the
+  // run collapses into one drain that splices every reply in ahead of
+  // all pending timeouts.
   rows.push_back(measure(
       "cold_stream", reps,
       [&] {

@@ -321,10 +321,10 @@ void Simulator::reanchor() {
   // overflow heap.  Before any execution history exists (everything was
   // scheduled ahead of the first run), estimate the gap from the overflow
   // backlog's span and population instead.
-  if (width_ == 0) {
+  if (width_ == 0 && overflow_.empty()) {
     // First anchor over a pre-scheduled backlog.  Nothing has migrated
-    // yet, so the sorted run is empty and every event sits in the
-    // unsorted staging tail: scan it for the span, partition it in one
+    // yet (nor fired from a cold start), so the sorted run is empty and
+    // every event sits in the unsorted staging tail: scan it for the span, partition it in one
     // O(n) pass -- window events drop into their buckets (append-only;
     // sorted lazily by the cursor), the rest are compacted in place and
     // sorted once to become the run.  No per-event O(log n).
@@ -343,7 +343,6 @@ void Simulator::reanchor() {
     const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
     if (spread_w > w) w = spread_w;
     width_ = w;
-    cold_ = !(gap_ewma_ > 0) && overflow_staging_.size() < kColdBacklog;
     origin_ = lo;
     anchor_executed_ = executed_;
     cur_bucket_ = 0;
@@ -392,7 +391,6 @@ void Simulator::reanchor() {
   const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
   if (spread_w > w) w = spread_w;
   width_ = w;
-  cold_ = !(gap_ewma_ > 0) && overflow_.size() < kColdBacklog;
   origin_ = lo;
   anchor_executed_ = executed_;
   cur_bucket_ = 0;
@@ -416,19 +414,17 @@ void Simulator::reanchor() {
 bool Simulator::maybe_rebucket() {
   // Only judge the fit once the gap estimator has real history behind
   // it and the executions since the last anchor cover the events a
-  // re-fit would move (the amortization gate), and re-fit only on a
-  // mismatch beyond the hysteresis either way.
+  // re-fit would move (the amortization gate), and re-fit only on a >2x
+  // mismatch either way.
   constexpr std::uint64_t kMinExecuted = 64;
   const std::uint64_t since = executed_ - anchor_executed_;
   if (since < kMinExecuted || since < ladder_size_ || !(gap_ewma_ > 0)) {
     return false;
   }
-  cold_ = false;  // judged with history: fitted from here on
-  const double target = fit_width();
-  if (!(target > width_ * kRefitHysteresis) &&
-      !(target * kRefitHysteresis < width_)) {
-    return false;
-  }
+  double target = gap_ewma_ * kGapsPerBucket;
+  const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
+  if (spread_w > target) target = spread_w;
+  if (!(target > width_ * 2.0) && !(target * 2.0 < width_)) return false;
   // Collect every live ladder event (the cursor bucket's consumed prefix
   // is dead and excluded), re-seat the window at the clock, and re-place
   // under the new width; events the narrower window no longer covers
@@ -495,6 +491,13 @@ const Simulator::Key* Simulator::peek() {
   for (;;) {
     if (ladder_size_ == 0) {
       if (overflow_empty()) return nullptr;  // purges drained everything
+      if (cold_backlog()) {
+        // Cold start: no ladder yet; the head fires from the overflow
+        // tier (run()/step() see width_ == 0).
+        head_in_overflow_ = true;
+        overflow_head_key_ = overflow_head();
+        return &overflow_head_key_;
+      }
       reanchor();  // the overflow minimum fits the new window by
                    // construction, so the ladder gains >= 1 event
     }
@@ -521,15 +524,11 @@ const Simulator::Key* Simulator::peek() {
       }
     }
     curp = &buckets_[cur_bucket_ & kBucketMask];
-    // Re-judge the ladder geometry against the gap estimator (a cheap
-    // gate; the re-fit itself is rare) on every fresh bucket, and on a
-    // cold ladder also on the bucket the cursor already ordered: under a
-    // width picked before any history every new event may land in the
-    // cursor bucket, and the cursor would never reach a fresh one.
-    const bool resident = heapified_bucket_ == cur_bucket_;
-    if (resident && !cold_) break;
+    if (heapified_bucket_ == cur_bucket_) break;
+    // Fresh bucket: the one spot where ladder geometry is re-judged
+    // against the gap estimator (cheap compare; the re-fit itself is
+    // rare) before the first-visit purge + sort.
     if (maybe_rebucket()) continue;
-    if (resident) break;
     // First visit since the bucket filled: drop already-cancelled events
     // in one compaction pass, then one sort instead of a sift_up per
     // insert (amortized O(log bucket) per event, contiguous).
@@ -561,6 +560,23 @@ const Simulator::Key* Simulator::peek() {
   }
   head_in_overflow_ = false;
   return &lh;
+}
+
+bool Simulator::cold_backlog() {
+  if (width_ > 0 || size_ >= kColdBacklog ||
+      gap_samples_ >= kColdGapSamples) {
+    return false;
+  }
+  overflow_merge_staging();  // descending run: front is max, back is min
+  return overflow_.front().t > overflow_.back().t;
+}
+
+Simulator::Event Simulator::pop_overflow() {
+  overflow_merge_staging();  // a no-op right after cold_backlog()
+  const Event ev = overflow_.back();
+  overflow_.pop_back();
+  --size_;
+  return ev;
 }
 
 Simulator::Event Simulator::pop_head() {
@@ -734,37 +750,30 @@ bool Simulator::fire_event(const Event& ev) {
   return true;
 }
 
+bool Simulator::fire_single(const Event& ev) {
+  const Key prev = fired_key_;
+  fired_key_ = Key{ev.t, ev.seq};
+  if (fire_event(ev)) return true;
+  fired_key_ = prev;  // discarded: it never executed
+  return false;
+}
+
 std::uint64_t Simulator::drain_bucket(Time until) {
   // peek() has just heapified the cursor bucket (and the overflow tier
   // if nonempty) and established that the bucket head is due.  Pop the
-  // whole due prefix -- everything at or before `until`, before the
-  // overflow head and within the drain's reach (below) -- into the
-  // scratch span in one heap-drain pass, then fire the span as a tight
-  // loop.  All other pending events (later buckets, overflow) are at or
-  // past the splice bound computed below, so only *new* inserts can
-  // land inside the span; place() detects those against batch_limit_
-  // and splices them into the sorted unfired remainder, which preserves
-  // the exact step()-at-a-time order without ever aborting the batch.
+  // whole due prefix -- everything at or before `until` and before the
+  // overflow head -- into the scratch span in one heap-drain pass, then
+  // fire the span as a tight loop.  All other pending events (later
+  // buckets, overflow) are at or past the splice bound computed below,
+  // so only *new* inserts can land inside the span; place() detects
+  // those against batch_limit_ and splices them into the sorted unfired
+  // remainder, which preserves the exact step()-at-a-time order without
+  // ever aborting the batch.
   Bucket& b = buckets_[cur_bucket_ & kBucketMask];
   Key lim{until, ~std::uint64_t{0}};
   if (!overflow_empty()) {
     const Key ok = overflow_head();
     if (earlier(ok, lim)) lim = ok;
-  }
-  // Cold ladder: the drain reaches at most the widest bucket the fit
-  // check accepts (kRefitHysteresis x fit_width()) past its first event
-  // -- only that event's instant before the estimators have history.
-  // A bucket anchored thousands of gaps wide over a few far-apart
-  // timers would otherwise be drained whole, far timers included, and
-  // the splice bound would sit past them: the whole run would become
-  // one drain, every insert shifting a long sorted span, with no peek()
-  // in between to re-judge the width.  The splice bound below never
-  // exceeds lim, so the cap covers it too.
-  if (cold_) [[unlikely]] {
-    const Key& head = b.keys[cur_sorted_ ? cur_head_ : 0];
-    const Key reach{head.t + kRefitHysteresis * fit_width(),
-                    ~std::uint64_t{0}};
-    if (earlier(reach, lim)) lim = reach;
   }
   scratch_.clear();
   bool emptied = false;
@@ -809,11 +818,11 @@ std::uint64_t Simulator::drain_bucket(Time until) {
   // remainder (if any); when the bucket drained empty the rest of the
   // ladder lives at or past the bucket's end wall, so the bound extends
   // there -- that is what lets a self-perpetuating stream (each action
-  // scheduling its successor a fraction of a bucket ahead) chain
-  // through the whole bucket span in ONE drain call instead of paying a
-  // peek/place/drain round-trip per event.  The max-with-span-tail
-  // guard covers the fp edge where an event at the exact end wall was
-  // floored into this bucket.
+  // scheduling its successor a fraction of a bucket ahead) chain through
+  // the whole bucket span in ONE drain call instead of paying a
+  // peek/place/drain round-trip per event.  The max-with-span-tail guard
+  // covers the fp edge where an event at the exact end wall was floored
+  // into this bucket.
   {
     Key bound = lim;
     if (emptied) {
@@ -853,6 +862,10 @@ std::uint64_t Simulator::run(Time until) {
       return ran;
     }
     if (head_in_overflow_) {
+      if (width_ == 0) {  // cold start: no ladder to drain yet
+        if (fire_single(pop_overflow())) ++ran;
+        continue;
+      }
       migrate_overflow();  // window slid over overflow events: pull them
       continue;            // into the ladder and re-peek
     }
@@ -868,15 +881,12 @@ bool Simulator::step(Time until) {
       now_ = until;
       return false;
     }
-    if (head_in_overflow_) {
+    if (head_in_overflow_ && width_ > 0) {
       migrate_overflow();
       continue;
     }
-    const Event ev = pop_head();
-    const Key prev = fired_key_;
-    fired_key_ = Key{ev.t, ev.seq};  // schedule_reserved()'s bound
-    if (fire_event(ev)) return true;
-    fired_key_ = prev;  // discarded: it never executed
+    const Event ev = head_in_overflow_ ? pop_overflow() : pop_head();
+    if (fire_single(ev)) return true;
   }
 }
 

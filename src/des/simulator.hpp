@@ -39,22 +39,22 @@
 // and batch execution order stays element-for-element identical to
 // step()-at-a-time execution.
 //
-// Cold ladder: a first anchor over a backlog of only a few events (a
-// kernel fed one streamed arrival at a time sees a handful of far-apart
-// timers) has no density to go on and may pick a width thousands of
-// event gaps wide.  Until the geometry check has judged such a ladder
-// with execution history, a drain reaches no further past its first
-// event than the widest bucket that check accepts, and peek() re-judges
-// the bucket the cursor stays on -- otherwise the whole run would
-// become one drain whose every insert shifts a long sorted span.  A
-// ladder anchored over a real backlog, or fitted once, skips both.
-//
 // Deferred insertion: reserve_seqs() hands out a block of sequence
 // numbers that schedule_reserved() consumes later, so a presorted
 // open-loop stream can enter the queue one element at a time (each
 // element scheduling its successor) under exactly the keys up-front
 // scheduling would have given it -- same order, a fraction of the
 // queue and action-slab footprint.
+//
+// Cold start: the first anchor sizes the bucket width from execution
+// history, or else from the pending backlog's span and population.  A
+// backlog of only a few far-apart events (a kernel fed one streamed
+// arrival at a time sees a handful of timers) says nothing about the
+// event density, and its span can be most of the run: the width would
+// be thousands of event gaps, every event would land in the bucket
+// under the cursor, and the whole run would become one batched drain.
+// So until the gap estimator has a few samples, such a kernel fires
+// straight from the overflow tier and anchors the ladder only then.
 //
 // Cancellation: schedule_cancellable() stamps the event with a slot index
 // into a generation-counted side table, so cancel() is one array indexing
@@ -326,12 +326,12 @@ class Simulator {
   /// enough for that and keeps buckets twice as fine as a larger slack
   /// would (lower occupancy = cheaper pops).
   static constexpr double kSpreadSlack = 2.0;
-  /// A re-fit runs only when the fit width and the live width differ by
-  /// more than this factor either way (see maybe_rebucket()).
-  static constexpr double kRefitHysteresis = 2.0;
-  /// A history-less anchor over fewer events than this is cold: a
-  /// handful of far-apart timers says nothing about the event density.
+  /// Cold start (see cold_backlog()): a backlog of fewer events than
+  /// this, spread over more than one instant, is too sparse to size the
+  /// first bucket width from; the kernel waits for this many nonzero
+  /// execution gaps instead.
   static constexpr std::size_t kColdBacklog = 64;
+  static constexpr std::uint64_t kColdGapSamples = 16;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
   // -- SoA min-heap primitives (keys compared, both lanes moved) --
@@ -391,37 +391,35 @@ class Simulator {
   const Key* peek();
   /// Pop the event peek() just returned (no mutation may happen between).
   Event pop_head();
+  /// Before the first anchor: true while the backlog is cold -- fewer
+  /// than kColdBacklog events over more than one instant, and fewer than
+  /// kColdGapSamples execution gaps to size the width from instead.  A
+  /// backlog at a single instant gets the fixed fallback width as
+  /// before: a constant, not a share of the run, which the fresh-bucket
+  /// re-fit check corrects within one bucket's worth of events.  Folds
+  /// the overflow staging tail into the sorted run.
+  bool cold_backlog();
+  /// Pop the overflow head peek() just returned (cold start only).
+  Event pop_overflow();
+  /// Fire one event outside a batched drain, keeping fired_key_ (the
+  /// lower bound of schedule_reserved()) at the last executed key.
+  bool fire_single(const Event& ev);
   /// Re-seat the ladder window at the overflow minimum and pull every
   /// overflow event inside the new window into its bucket.
   void reanchor();
-  /// The width the anchor policy would pick now: kGapsPerBucket mean
-  /// gaps, widened so the window spans kSpreadSlack x the live
-  /// scheduling horizon.
-  double fit_width() const noexcept {
-    const double gap_w = gap_ewma_ * kGapsPerBucket;
-    const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
-    return spread_w > gap_w ? spread_w : gap_w;
-  }
-  /// Geometry misfit check, run when peek() settles the cursor on a
-  /// fresh bucket -- and, on a cold ladder (cold_), on the resident one
-  /// too, since under a width picked before any history every new event
-  /// may land in the bucket under the cursor and the cursor never
-  /// reaches a fresh one.  The first call past the gate warms the
-  /// ladder.  If fit_width() disagrees with the
-  /// live width by more than kRefitHysteresis either way, re-place
-  /// every live ladder event under the new width.  A re-fit costs
-  /// O(live ladder events), so it may run only once the executions
-  /// since the last anchor reach max(64, ladder population): each
-  /// re-fit is paid for by at least as many executed events as it
-  /// moves, and refit_moves() <= executed() always holds; the
-  /// hysteresis alone bounds nothing when the gap estimate is noisy.
-  /// Returns true if the ladder was re-anchored, in which case the
-  /// caller must rescan from the restarted cursor.  This is what
-  /// rescues a ladder whose first anchor had no execution history to
-  /// consult -- a per-LP PDES kernel seeded with one event whose
-  /// fallback width lands far from the real event gap, or a kernel fed
-  /// one streamed arrival at a time whose first anchor sees only a few
-  /// far-apart timers.
+  /// Geometry misfit check, run when the cursor enters a fresh bucket:
+  /// if the width the anchor policy would pick *now* disagrees with the
+  /// live width by more than 2x either way, re-place every live ladder
+  /// event under the new width.  A re-fit costs O(live ladder events),
+  /// so it may run only once the executions since the last anchor reach
+  /// max(64, ladder population): each re-fit is paid for by at least as
+  /// many executed events as it moves, and refit_moves() <= executed()
+  /// always holds; the 2x hysteresis alone bounds nothing when the gap
+  /// estimate is noisy.  Returns true if the ladder was re-anchored, in which case the
+  /// caller must rescan from the restarted cursor.  This is what rescues
+  /// a ladder whose first anchor had no execution history to consult --
+  /// e.g. a per-LP PDES kernel seeded with one event whose fallback
+  /// width lands far from the real event gap.
   bool maybe_rebucket();
   /// Empty `b` after its last event left.  A bucket whose storage grew
   /// past kRetainedCapacity (a burst of same-instant events -- a fan-out's
@@ -484,15 +482,11 @@ class Simulator {
   std::uint64_t anchor_executed_ = 0;  // executed_ at the last (re)anchor
   Time last_exec_t_ = 0;
   /// Key of the last event executed outside the running drain (step(),
-  /// or a finished drain's last execution): schedule_reserved()'s lower
-  /// bound when no drain is active.  Inside a drain the bound is the
-  /// firing span element, so the per-event path stores nothing.
+  /// a cold-start firing, or a finished drain's last execution):
+  /// schedule_reserved()'s lower bound when no drain is active.  Inside
+  /// a drain the bound is the firing span element, so the per-event
+  /// path stores nothing.
   Key fired_key_{-kForever, 0};
-  /// The ladder was anchored, without execution history, over fewer
-  /// than kColdBacklog events, and maybe_rebucket() has not yet judged
-  /// it: drains cap their reach and peek() re-judges the resident
-  /// bucket (see drain_bucket()).
-  bool cold_ = false;
   bool head_in_overflow_ = false;
   /// Copy of the overflow head's key when head_in_overflow_ (peek()
   /// returns a pointer to it; bucket heads are pointed at in place).

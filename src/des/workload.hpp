@@ -302,11 +302,10 @@ WorkloadResult replay_refit_thrash(std::uint64_t seed, std::uint32_t queries,
 /// cancellable timeout, so about 150 ms of timeouts stay pending behind
 /// every new reply, as in an open-loop client with per-call timeouts.
 /// This is an arrival stream fed to the kernel one element at a time:
-/// the backlog-derived first bucket width is thousands of stream gaps,
-/// and unless a drain's reach is capped and the geometry is re-judged
-/// while the cursor stays on that first bucket, the run becomes one
-/// drain in which every reply is spliced in ahead of all pending
-/// timeouts.  `step_ms` > 0 runs the replay in run(until) steps of that
+/// a first bucket width sized from the backlog would be thousands of
+/// stream gaps, and unless the kernel waits for execution history to
+/// anchor (des::Simulator's cold start), the run becomes one drain in
+/// which every reply is spliced in ahead of all pending timeouts.  `step_ms` > 0 runs the replay in run(until) steps of that
 /// length.  `widths`, if given and the kernel reports bucket_width(),
 /// receives the width each time the probe fires.
 template <typename Sim>

@@ -3,7 +3,7 @@
 // order on identical seeded workloads), plus the edge cases the ladder
 // introduces over a single heap: events crossing the ladder/overflow
 // boundary, generation-stamped handle reuse, ladder re-fit amortization,
-// deferred insertion under reserved seqs, cold-anchor re-fits, and
+// deferred insertion under reserved seqs, cold starts, and
 // large-scale executed()/cancelled() bookkeeping.
 
 #include <gtest/gtest.h>
@@ -268,15 +268,14 @@ TEST(DesQueueReserved, BoundIsTheLastExecutedKeyAcrossDiscards) {
   }
 }
 
-// The streamed-arrival shape: the first anchor sees a few far-apart
-// timers and the head of a 0.3 ms-gap stream, so it picks a width of
-// thousands of gaps.  Order must match the reference heap, in one run()
-// and in run(until) steps.  By the probe at 1 s of stream time the
-// width must be within [1, 16] stream gaps: in one run() that needs the
-// capped splice bound (else the first drain runs to the bucket's far
-// end wall and no geometry check happens inside it) and the fit check
-// on the resident bucket; in steps, the resident-bucket check alone.
-TEST(DesQueueColdAnchor, StreamAfterFarTimersRefitsAndMatchesReference) {
+// The streamed-arrival shape: the pending backlog is a few far-apart
+// timers and the head of a 0.3 ms-gap stream, so a width sized from it
+// would be thousands of gaps, every event would land in the cursor
+// bucket and the run would collapse into one drain.  Order must match
+// the reference heap, in one run() and in run(until) steps, and by the
+// probe at 1 s of stream time the width must be within [1, 16] stream
+// gaps: the kernel must have waited for execution history to anchor.
+TEST(DesQueueColdAnchor, StreamAfterFarTimersFitsWidthAndMatchesReference) {
   constexpr double kGap = 0.3;
   constexpr std::uint32_t kN = 20'000;  // 6 s of stream
   constexpr std::size_t kProbeAt1s = 3;  // probes fire every 250 ms
