@@ -322,9 +322,10 @@ void Simulator::reanchor() {
   // scheduled ahead of the first run), estimate the gap from the overflow
   // backlog's span and population instead.
   if (width_ == 0 && overflow_.empty()) {
-    // First anchor over a pre-scheduled backlog.  Nothing has migrated
-    // yet (nor fired from a cold start), so the sorted run is empty and
-    // every event sits in the unsorted staging tail: scan it for the span, partition it in one
+    // First anchor over a pre-scheduled backlog.  The sorted run is
+    // empty (a cold start may have left one; the steady-state path
+    // below handles that), so every event sits in the unsorted
+    // staging tail: scan it for the span, partition it in one
     // O(n) pass -- window events drop into their buckets (append-only;
     // sorted lazily by the cursor), the rest are compacted in place and
     // sorted once to become the run.  No per-event O(log n).

@@ -394,10 +394,10 @@ class Simulator {
   /// Before the first anchor: true while the backlog is cold -- fewer
   /// than kColdBacklog events over more than one instant, and fewer than
   /// kColdGapSamples execution gaps to size the width from instead.  A
-  /// backlog at a single instant gets the fixed fallback width as
-  /// before: a constant, not a share of the run, which the fresh-bucket
-  /// re-fit check corrects within one bucket's worth of events.  Folds
-  /// the overflow staging tail into the sorted run.
+  /// backlog at a single instant is not cold: it gets the fixed
+  /// fallback width, a constant rather than a share of the run, which
+  /// the fresh-bucket re-fit check corrects within one bucket's worth of
+  /// events.  Folds the overflow staging tail into the sorted run.
   bool cold_backlog();
   /// Pop the overflow head peek() just returned (cold start only).
   Event pop_overflow();
