@@ -18,6 +18,7 @@
 #include "cloud/cluster.hpp"
 #include "cloud/region.hpp"
 #include "util/histogram.hpp"
+#include "util/rng.hpp"
 
 namespace arch21::golden {
 
@@ -161,6 +162,140 @@ inline cloud::ClusterConfig full_stack_gray_config() {
   cfg.policy.gray.enabled = true;
   cfg.policy.gray.eval_interval_ms = 100;
   cfg.policy.gray.evict_ms = 400;
+  return cfg;
+}
+
+/// One random valid config over the feature union a network latency
+/// allows, drawn from `g`.  Every latency gets stochastic faults with
+/// rack domains, crash bursts, every queue discipline with and without a
+/// capacity bound, admission, a retry budget, breakers, hedges, a quorum
+/// and gray detection, each switched on by a coin.  At zero latency,
+/// `variant` also picks one of the two layers that run only there (they
+/// are mutually exclusive): variant % 3 == 0 adds a power cap under
+/// policy (variant / 3) % 4; otherwise gray injection adds a burst in
+/// mode (variant / 3) % 4, plus a stochastic episode trace when
+/// variant % 3 == 2.  Sizes stay small so a table of these runs fast.
+inline cloud::ClusterConfig generated_cluster_config(
+    Rng& g, double net_latency_ms, unsigned variant) {
+  cloud::ClusterConfig cfg;
+  cfg.leaves = 4 + static_cast<unsigned>(g.below(13));
+  cfg.query_rate_hz = g.uniform(40, 140);
+  cfg.leaf_service_ms = g.uniform(1.5, 5.0);
+  cfg.service_sigma = g.uniform(0.2, 0.6);
+  cfg.background_rate_hz = g.chance(0.2) ? 0 : g.uniform(10, 50);
+  cfg.background_ms = g.uniform(1.0, 4.0);
+  cfg.duration_s = g.uniform(1.0, 2.5);
+  cfg.seed = g.next();
+  cfg.goodput_window_s = g.chance(0.5) ? 0.25 : 0;
+  cfg.net_latency_ms = net_latency_ms;
+  if (net_latency_ms > 0) {
+    cfg.leaf_groups = static_cast<unsigned>(g.below(cfg.leaves + 1));
+  }
+
+  switch (g.below(3)) {
+    case 0:
+      cfg.leaf_queue.discipline = des::QueueDiscipline::kFifo;
+      break;
+    case 1:
+      cfg.leaf_queue.discipline = des::QueueDiscipline::kAdaptiveLifo;
+      cfg.leaf_queue.lifo_threshold = 1 + g.below(4);
+      break;
+    default:
+      cfg.leaf_queue.discipline = des::QueueDiscipline::kDeadline;
+      cfg.leaf_queue.sojourn_target = g.uniform(10, 40);
+      break;
+  }
+  if (g.chance(0.6)) cfg.leaf_queue.capacity = 2 + g.below(10);
+
+  auto& f = cfg.faults;
+  if (g.chance(0.6)) {
+    f.enabled = true;
+    f.leaf = {.mtbf_hours = g.uniform(5, 30) / 3600,
+              .mttr_hours = g.uniform(0.1, 0.6) / 3600};
+    if (g.chance(0.6)) {
+      f.leaves_per_domain = 2 + static_cast<unsigned>(g.below(4));
+      f.domain = {.mtbf_hours = g.uniform(3, 12) / 3600,
+                  .mttr_hours = g.uniform(0.2, 0.6) / 3600};
+    }
+  }
+  if (g.chance(0.5)) {
+    f.burst_leaves = 1 + static_cast<unsigned>(g.below(cfg.leaves));
+    f.burst_start_s = g.uniform(0.1, 0.6) * cfg.duration_s;
+    f.burst_duration_s = g.uniform(0.1, 0.6);
+  }
+
+  auto& p = cfg.policy;
+  if (g.chance(0.75)) {
+    p.retry.timeout_ms = g.uniform(10, 40);
+    p.retry.max_retries = static_cast<unsigned>(g.below(4));
+  }
+  if (g.chance(0.5)) {
+    p.budget.enabled = true;
+    p.budget.ratio = g.uniform(0.05, 0.3);
+    p.budget.burst = g.uniform(5, 50);
+  }
+  if (g.chance(0.4)) p.hedge_after_ms = g.uniform(5, 25);
+  if (g.chance(0.5)) {
+    p.quorum = {.quorum_fraction = g.uniform(0.5, 0.95),
+                .deadline_ms = g.uniform(30, 90)};
+  }
+  if (g.chance(0.4)) {
+    p.admission.enabled = true;
+    if (g.chance(0.7)) {
+      p.admission.rate_qps = g.uniform(30, 120);
+      p.admission.burst = g.uniform(2, 12);
+    }
+    if (p.admission.rate_qps == 0 || g.chance(0.5)) {
+      p.admission.max_in_flight = 2 + static_cast<unsigned>(g.below(20));
+    }
+  }
+  // Breakers and detection only see failures through timeouts, and
+  // detection needs a quorum to close queries around evicted leaves.
+  if (p.retry.timeout_ms > 0 && g.chance(0.5)) {
+    p.breaker.enabled = true;
+    p.breaker.min_samples = 4 + static_cast<unsigned>(g.below(6));
+    p.breaker.open_ms = g.uniform(20, 80);
+  }
+  if (p.retry.timeout_ms > 0 && p.quorum.enabled() && g.chance(0.6)) {
+    p.gray.enabled = true;
+    p.gray.eval_interval_ms = g.uniform(50, 200);
+    p.gray.evict_ms = g.uniform(200, 800);
+    p.gray.adaptive_deadline = g.chance(0.5);
+  }
+
+  if (net_latency_ms > 0) return cfg;
+  if (variant % 3 == 0) {
+    auto& pc = cfg.powercap;
+    pc.enabled = true;
+    pc.policy = static_cast<cloud::PowercapPolicy>((variant / 3) % 4);
+    pc.cap_fraction = g.uniform(0.55, 1.0);
+    pc.window_s = g.uniform(0.1, 0.5);
+    return cfg;
+  }
+  auto& gr = cfg.gray;
+  if (variant % 3 == 2) {
+    gr.enabled = true;
+    gr.episode = {.mtbf_hours = g.uniform(3, 10) / 3600,
+                  .mttr_hours = g.uniform(0.5, 2) / 3600};
+  }
+  const auto gray_mode = static_cast<reliab::GrayMode>((variant / 3) % 4);
+  gr.burst_leaves = 1 + static_cast<unsigned>(g.below(cfg.leaves));
+  gr.burst_start_s = g.uniform(0.1, 0.5) * cfg.duration_s;
+  gr.burst_duration_s = g.uniform(0.2, 1.0);
+  gr.burst_mode = gray_mode;
+  switch (gray_mode) {
+    case reliab::GrayMode::kSlow:
+      gr.burst_severity = g.uniform(2, 8);
+      break;
+    case reliab::GrayMode::kLossy:
+      gr.burst_severity = g.uniform(0.2, 1.0);
+      break;
+    case reliab::GrayMode::kZombie:
+      break;
+    case reliab::GrayMode::kJittery:
+      gr.burst_severity = g.uniform(10, 80);
+      break;
+  }
   return cfg;
 }
 

@@ -564,4 +564,63 @@ TEST(GoldenDigest, StackedPdesWithGrayDetection) {
   }
 }
 
+// A guard table over generated configs (golden::generated_cluster_config):
+// twelve at zero latency, four of them power-capped (one per policy) and
+// eight with gray injection (two per burst mode, one of each pair also
+// replaying an episode trace), and twelve at a network latency, each run
+// at workers 0, 1 and 4.  Every digest was recorded once and must not be
+// re-recorded: a refactor of the cluster engine that moves one changed
+// results.
+TEST(GoldenDigest, GeneratedClusterConfigs) {
+  constexpr std::uint64_t kZeroLatency[12] = {
+      0x2d9aadff691ec01dULL, 0x64f1140abd8455b5ULL, 0x02564710490ad2b7ULL,
+      0x7e05394243cc72d3ULL, 0x915d0ef84648f7d6ULL, 0x1f888a07931eeaa6ULL,
+      0x7d16916b98afff39ULL, 0xf76c5e8b1cf934cfULL, 0x99482f93834f57abULL,
+      0x11b7ae6eae280207ULL, 0x0aab01f4fabd1b4eULL, 0x8d66311684219e0aULL,
+  };
+  constexpr std::uint64_t kNetLatency[12] = {
+      0x10b98029080e0e9cULL, 0xb813816ab6dc8bd3ULL, 0x78e5e228c8338c86ULL,
+      0x4d8faefc161ed178ULL, 0x6727f821dab123e2ULL, 0x4d2c18156aa91a65ULL,
+      0x404ab8683185e342ULL, 0x1930d1dbd6737b65ULL, 0xba9ac92dacdc497aULL,
+      0xa229b62d1d16bcadULL, 0x4c82f16e90784944ULL, 0xf8a1956e4c209618ULL,
+  };
+  Rng g(0x6E4E);
+  // Per half: configs with rack domains, with a crash burst, and with
+  // gray detection on.
+  unsigned domains[2] = {}, bursts[2] = {}, detected[2] = {};
+  auto tally = [&](int half, const cloud::ClusterConfig& cfg) {
+    domains[half] += cfg.faults.enabled && cfg.faults.leaves_per_domain > 0;
+    bursts[half] += cfg.faults.burst_enabled();
+    detected[half] += cfg.policy.gray.enabled;
+  };
+  for (unsigned i = 0; i < 12; ++i) {
+    const cloud::ClusterConfig cfg =
+        golden::generated_cluster_config(g, 0.0, i);
+    tally(0, cfg);
+    const cloud::ClusterResult r = cloud::simulate_cluster(cfg);
+    EXPECT_GT(r.queries, 0u) << "zero latency #" << i;
+    EXPECT_EQ(golden::digest(r), kZeroLatency[i])
+        << "zero latency #" << i << std::hex << " got 0x" << golden::digest(r);
+  }
+  for (unsigned i = 0; i < 12; ++i) {
+    cloud::ClusterConfig cfg = golden::generated_cluster_config(
+        g, 0.5 + 0.5 * static_cast<double>(i % 4), i);
+    tally(1, cfg);
+    for (const unsigned workers : {0u, 1u, 4u}) {
+      cfg.workers = workers;
+      const cloud::ClusterResult r = cloud::simulate_cluster(cfg);
+      EXPECT_GT(r.queries, 0u) << "net latency #" << i;
+      EXPECT_EQ(golden::digest(r), kNetLatency[i])
+          << "net latency #" << i << " workers=" << workers << std::hex
+          << " got 0x" << golden::digest(r);
+    }
+  }
+  // The table exercises what it claims to guard.
+  for (const int half : {0, 1}) {
+    EXPECT_GT(domains[half], 0u) << "half " << half;
+    EXPECT_GT(bursts[half], 0u) << "half " << half;
+    EXPECT_GT(detected[half], 0u) << "half " << half;
+  }
+}
+
 }  // namespace
