@@ -3,7 +3,8 @@
 // des::ParallelEngine at workers 1/2/4/8, reports Mev/s per
 // configuration, and verifies every parallel replay is bit-identical to
 // the serial one -- the engine-level differential determinism check.
-// Then the LP-sharded cluster scenario (simulate_cluster_pdes) gets the
+// Then the LP-sharded cluster scenario (simulate_cluster at
+// net_latency_ms > 0) gets the
 // same treatment: one serial reference run (workers=0), then workers
 // 1/2/4/8, asserting whole-ClusterResult equality (histograms included)
 // and timing each.
@@ -83,7 +84,7 @@ double metered_mesh_efficiency(const des::PartitionSpec& spec,
   return efficiency(busy, wait);
 }
 
-/// The engine is internal to simulate_cluster_pdes, so this reads the
+/// The engine is internal to simulate_cluster, so this reads the
 /// pdes.team.* counters it publishes; the registry is on only for this
 /// run, because it also records per-query samples.
 double metered_cluster_efficiency(const cloud::ClusterConfig& cfg) {
@@ -91,7 +92,7 @@ double metered_cluster_efficiency(const cloud::ClusterConfig& cfg) {
   auto& m = obs::MetricsRegistry::global();
   m.reset();
   m.set_enabled(true);
-  cloud::simulate_cluster_pdes(cfg);
+  cloud::simulate_cluster(cfg);
   m.set_enabled(false);
   std::uint64_t busy = 0, wait = 0;
   for (const auto& e : m.snapshot().entries) {
@@ -257,7 +258,7 @@ int main(int argc, char** argv) {
     r.workers = 0;
     cfg.workers = 0;
     r.seconds = best_seconds(
-        reps, [&] { cluster_ref = cloud::simulate_cluster_pdes(cfg); });
+        reps, [&] { cluster_ref = cloud::simulate_cluster(cfg); });
     r.events = cluster_ref.leaf_requests;
     rows.push_back(r);
   }
@@ -268,7 +269,7 @@ int main(int argc, char** argv) {
     cfg.workers = workers;
     cloud::ClusterResult got;
     r.seconds =
-        best_seconds(reps, [&] { got = cloud::simulate_cluster_pdes(cfg); });
+        best_seconds(reps, [&] { got = cloud::simulate_cluster(cfg); });
     r.events = got.leaf_requests;
     r.identical = same_cluster_result(got, cluster_ref);
     r.efficiency = metered_cluster_efficiency(cfg);

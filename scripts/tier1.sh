@@ -69,11 +69,17 @@ echo "== tier-1: AddressSanitizer smoke (overload-protection paths) =="
 # The overload layer moves InlineCallbacks through a bounded ring, kills
 # jobs mid-service (fail_all), and short-circuits sends through breaker
 # state -- exactly the lifetime bugs ASan catches.  bench_overload
-# --smoke drives the whole ladder end to end.
+# --smoke drives the whole ladder end to end.  test_pdes and test_power
+# cover the rest of the one cluster engine's lifetimes: the sharded
+# transport's pinned call table, the power-cap gates detached at the
+# horizon, and the engine torn down inside the client that owns the
+# slabs its pending actions still reference.
 cmake -B build-asan -S . -DARCH21_SAN=address >/dev/null
 cmake --build build-asan -j "$(nproc)" --target \
-  test_des_queue test_resilience test_overload test_grayfail bench_overload
-for t in test_des_queue test_resilience test_overload test_grayfail; do
+  test_des_queue test_resilience test_overload test_grayfail test_pdes \
+  test_power bench_overload
+for t in test_des_queue test_resilience test_overload test_grayfail \
+         test_pdes test_power; do
   echo "-- asan: $t"
   ASAN_OPTIONS="halt_on_error=1" "./build-asan/tests/$t"
 done

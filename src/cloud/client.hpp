@@ -1,8 +1,9 @@
 #pragma once
 // The client-policy core, written once and shared by every serving
-// engine: the serial zero-latency cluster (cluster.cpp), the LP-sharded
-// network-latency cluster (cluster_pdes.cpp) and the multi-region
-// balancer (region.cpp).
+// engine: the cluster engine (cluster_pdes.cpp, one class template whose
+// transport is a direct call on a single kernel at zero latency and a
+// message between LPs otherwise) and the multi-region balancer
+// (region.cpp).
 //
 //   * BreakerBank -- per-replica bit-window circuit breakers, their
 //     counters, and their own Rng stream;
@@ -23,9 +24,11 @@
 //                 unsigned leaf);  -- deliver one attempt to a leaf
 //   bool engine_admits();          -- optional pre-admission gate
 // and it resolves replies and rejects through note_reply(),
-// call_answered() and note_reject().  Each engine calls the setup steps
-// in its own order, because the order of same-instant events depends on
-// it.
+// call_answered() and note_reject().  The engine calls the setup steps
+// (init_client, schedule_gray_evals, schedule_queries) itself, because
+// the order of same-instant events depends on where they fall among its
+// own injection events; the cluster engine uses one order for both of
+// its transports.
 
 #include <algorithm>
 #include <cmath>

@@ -91,8 +91,8 @@ struct ClusterFaultConfig {
 ///              capacity -- a NIC/GC hiccup, not a saturated server).
 /// All injection randomness (loss coins, spike draws) comes from a
 /// dedicated Rng stream, so disabled gray is byte-identical.  Requires
-/// the serial engine (net_latency_ms == 0) and is mutually exclusive
-/// with powercap (both drive leaf speed).
+/// the single-kernel transport (net_latency_ms == 0) and is mutually
+/// exclusive with powercap (both drive leaf speed).
 struct ClusterGrayConfig {
   /// Stochastic episode trace (off by default).
   bool enabled = false;
@@ -156,11 +156,11 @@ struct ClusterConfig {
   /// burst.  0 (default) records nothing.
   double goodput_window_s = 0;
   /// Network latency between the root and every leaf, one way, in ms.
-  /// 0 (default) keeps the historical zero-latency model and the legacy
-  /// serial simulator, bit-identical with prior builds.  > 0 switches
-  /// simulate_cluster() to the LP-sharded scenario (cluster_pdes.cpp):
-  /// requests and replies each travel net_latency_ms, and that latency is
-  /// the conservative lookahead the parallel engine hides behind.
+  /// 0 (default) keeps the historical zero-latency model: one DES kernel,
+  /// a send is a direct call, bit-identical with prior builds.  > 0 shards
+  /// the same engine into logical processes (cluster_pdes.cpp): requests
+  /// and replies each travel net_latency_ms as messages, and that latency
+  /// is the conservative lookahead the parallel engine hides behind.
   double net_latency_ms = 0;
   /// Worker threads for the parallel engine.  0 (default) runs the
   /// LP-sharded scenario on the serial loopback reference engine; W >= 1
@@ -184,10 +184,10 @@ struct ClusterConfig {
   /// Power-capped co-simulation (off by default; see cloud/powercap.hpp):
   /// every leaf gets a DVFS p-state whose speed divides its service times
   /// and whose power feeds a windowed energy contract against the
-  /// datacenter cap.  Requires net_latency_ms == 0 (the serial engine;
-  /// the cap's window accounting is cluster-global and has no LP
-  /// sharding).  Disabled, results are byte-identical to pre-powercap
-  /// builds.
+  /// datacenter cap.  Requires net_latency_ms == 0 (the single-kernel
+  /// transport: the cap's window accounting is cluster-global state with
+  /// no home on a sharded engine).  Disabled, results are byte-identical
+  /// to pre-powercap builds.
   PowercapConfig powercap;
 #if ARCH21_OBS_ENABLED
   /// Observability trace sink for ONE simulation (timestamps are ms, so
@@ -318,19 +318,11 @@ struct ClusterResult {
   void merge(const ClusterResult& other);
 };
 
-/// Run the cluster simulation.  Dispatches on net_latency_ms: 0 runs the
-/// historical serial zero-latency model, > 0 the LP-sharded
-/// network-latency model below.
+/// Run one cluster simulation.  net_latency_ms picks the engine and with
+/// it the transport (cloud/cluster_pdes.cpp): 0 runs the zero-latency
+/// model on one DES kernel with direct calls; > 0 shards the root and the
+/// leaf groups into logical processes that exchange messages, on the
+/// serial loopback engine (workers == 0) or the parallel engine.
 ClusterResult simulate_cluster(const ClusterConfig& cfg);
-
-/// The LP-sharded network-latency scenario (requires net_latency_ms > 0):
-/// the root client engine is one logical process, the leaves are sharded
-/// into leaf_groups more, and every root<->leaf exchange travels
-/// net_latency_ms each way through the PDES engine's mailboxes.
-/// cfg.workers picks the engine (0 = serial loopback reference, >= 1 =
-/// des::ParallelEngine on that many threads) without affecting results.
-/// simulate_cluster() calls this automatically; it is public so benches
-/// and tests can name the path explicitly.
-ClusterResult simulate_cluster_pdes(const ClusterConfig& cfg);
 
 }  // namespace arch21::cloud

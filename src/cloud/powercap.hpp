@@ -137,7 +137,8 @@ struct PowercapStats {
   std::vector<double> energy_j_per_window;
 };
 
-/// The per-trial powercap engine ClusterSim embeds.  Owns the p-state
+/// The per-trial powercap engine the cluster engine embeds on its
+/// single-kernel (zero-latency) transport.  Owns the p-state
 /// ladder, the per-leaf operating points, the window energy contract and
 /// the cap-aware admission bucket; the cluster wires its leaves in via
 /// attach() and calls on_window() at each boundary.

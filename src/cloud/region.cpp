@@ -12,11 +12,12 @@
 #include "cloud/qos.hpp"
 #include "cloud/queueing.hpp"
 #include "cloud/tail.hpp"
+#include "cloud/trials.hpp"
 #include "des/simulator.hpp"
 
 namespace arch21::cloud {
 
-// Simulation time unit: milliseconds (as in cluster.cpp).
+// Simulation time unit: milliseconds (as in the cluster engine).
 
 namespace {
 
@@ -24,7 +25,7 @@ namespace {
   throw std::invalid_argument(std::string(strct) + "::" + field);
 }
 
-// Dedicated Rng sub-stream salts (the breaker bank and cluster.cpp's
+// Dedicated Rng sub-stream salts (the breaker bank and the cluster's
 // 0xFA17 work the same way): each stochastic component draws from its
 // own stream so enabling one never perturbs the draws of another.
 constexpr std::uint64_t kTrafficStream = 0x7F1C;
@@ -760,36 +761,7 @@ MultiRegionResult simulate_multiregion(const MultiRegionConfig& cfg) {
 
 MultiRegionResult run_multiregion_trials(const MultiRegionConfig& cfg,
                                          unsigned trials, ThreadPool* pool) {
-  cfg.validate();
-  if (trials == 0) {
-    throw std::invalid_argument("run_multiregion_trials: trials must be > 0");
-  }
-  ThreadPool& tp = pool ? *pool : ThreadPool::global();
-  MultiRegionResult identity;
-  identity.trials = 0;
-  return tp.parallel_reduce<MultiRegionResult>(
-      trials, std::move(identity), /*grain=*/1,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        MultiRegionResult acc;
-        acc.trials = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          MultiRegionConfig c = cfg;
-          c.seed = Rng(cfg.seed, i).next();
-          MultiRegionResult one = simulate_multiregion(c);
-          if (acc.trials == 0) {
-            acc = std::move(one);
-          } else {
-            acc.merge(one);
-          }
-        }
-        return acc;
-      },
-      [](MultiRegionResult acc, MultiRegionResult chunk) {
-        if (acc.trials == 0) return chunk;
-        if (chunk.trials == 0) return acc;
-        acc.merge(chunk);
-        return acc;
-      });
+  return run_trials(cfg, trials, pool, simulate_multiregion);
 }
 
 std::vector<MultiRegionScenario> failover_scenarios(

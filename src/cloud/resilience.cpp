@@ -6,14 +6,12 @@
 #include <string>
 #include <utility>
 
+#include "cloud/trials.hpp"
+
 namespace arch21::cloud {
 
 ClusterResult run_cluster_trials(const ClusterConfig& cfg, unsigned trials,
                                  ThreadPool* pool) {
-  cfg.validate();
-  if (trials == 0) {
-    throw std::invalid_argument("run_cluster_trials: trials must be > 0");
-  }
   if (cfg.workers > 0) {
     // Trials already parallelize across the pool; nesting a PDES worker
     // pool inside each trial would oversubscribe it.  Shard ACROSS
@@ -33,32 +31,7 @@ ClusterResult run_cluster_trials(const ClusterConfig& cfg, unsigned trials,
         "simulate_cluster() run");
   }
 #endif
-  ThreadPool& tp = pool ? *pool : ThreadPool::global();
-  ClusterResult identity;
-  identity.trials = 0;
-  return tp.parallel_reduce<ClusterResult>(
-      trials, std::move(identity), /*grain=*/1,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        ClusterResult acc;
-        acc.trials = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          ClusterConfig c = cfg;
-          c.seed = Rng(cfg.seed, i).next();
-          ClusterResult one = simulate_cluster(c);
-          if (acc.trials == 0) {
-            acc = std::move(one);
-          } else {
-            acc.merge(one);
-          }
-        }
-        return acc;
-      },
-      [](ClusterResult acc, ClusterResult chunk) {
-        if (acc.trials == 0) return chunk;
-        if (chunk.trials == 0) return acc;
-        acc.merge(chunk);
-        return acc;
-      });
+  return run_trials(cfg, trials, pool, simulate_cluster);
 }
 
 ScenarioResult run_scenario(std::string name, const ClusterConfig& cfg,

@@ -57,7 +57,7 @@ class Slab {
 
   /// Drop one reference.  Returns true when that was the last reference:
   /// the slot has been reset and recycled (the caller may need to release
-  /// resources the value referenced *before* calling; see cluster.cpp's
+  /// resources the value referenced *before* calling; see client.hpp's
   /// release_call for the cross-slab pattern).
   bool release(Handle h) {
     assert(h < items_.size() && items_[h].refs > 0);

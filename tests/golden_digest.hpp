@@ -105,8 +105,8 @@ inline std::uint64_t digest(const cloud::MultiRegionResult& r) {
   return g.value();
 }
 
-/// The serial engine with every fail-stop and client-policy feature on
-/// at once: stochastic leaf faults with rack domains, a crash burst,
+/// The zero-latency model with every fail-stop and client-policy feature
+/// on at once: stochastic leaf faults with rack domains, a crash burst,
 /// budgeted retries, hedging, a quorum deadline, admission (rate gate and
 /// concurrency cap), breakers and deadline-drop leaf queues.
 inline cloud::ClusterConfig full_stack_config() {

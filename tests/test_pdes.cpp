@@ -33,8 +33,14 @@
 #include "des/reference_heap.hpp"
 #include "des/simulator.hpp"
 #include "des/workload.hpp"
+#include "obs/enabled.hpp"
 #include "util/thread_pool.hpp"
 #include "golden_digest.hpp"
+
+#if ARCH21_OBS_ENABLED
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#endif
 
 namespace {
 
@@ -462,11 +468,11 @@ cloud::ClusterConfig stacked_pdes_config(std::uint64_t seed) {
 TEST(ClusterPdes, BitIdenticalAcrossWorkerCounts) {
   for (const std::uint64_t seed : kSeeds) {
     cloud::ClusterConfig cfg = small_pdes_config(seed);
-    const cloud::ClusterResult want = cloud::simulate_cluster_pdes(cfg);
+    const cloud::ClusterResult want = cloud::simulate_cluster(cfg);
     EXPECT_GT(want.queries, 0u);
     for (const unsigned workers : kWorkerCounts) {
       cfg.workers = workers;
-      const cloud::ClusterResult got = cloud::simulate_cluster_pdes(cfg);
+      const cloud::ClusterResult got = cloud::simulate_cluster(cfg);
       expect_same_result(got, want, "small config");
     }
   }
@@ -474,12 +480,12 @@ TEST(ClusterPdes, BitIdenticalAcrossWorkerCounts) {
 
 TEST(ClusterPdes, BitIdenticalWithFullPolicyAndFaultStack) {
   cloud::ClusterConfig cfg = stacked_pdes_config(kSeeds[0]);
-  const cloud::ClusterResult want = cloud::simulate_cluster_pdes(cfg);
+  const cloud::ClusterResult want = cloud::simulate_cluster(cfg);
   EXPECT_GT(want.queries, 0u);
   EXPECT_GT(want.leaf_failures, 0u);
   for (const unsigned workers : kWorkerCounts) {
     cfg.workers = workers;
-    const cloud::ClusterResult got = cloud::simulate_cluster_pdes(cfg);
+    const cloud::ClusterResult got = cloud::simulate_cluster(cfg);
     expect_same_result(got, want, "policy+fault stack");
   }
 }
@@ -506,20 +512,14 @@ TEST(ClusterPdes, SameInstantRepliesKeepLoopbackIdentical) {
   cfg.leaf_queue.discipline = des::QueueDiscipline::kDeadline;
   cfg.leaf_queue.sojourn_target = 25;
   cfg.policy.breaker.enabled = true;
-  const cloud::ClusterResult want = cloud::simulate_cluster_pdes(cfg);
+  const cloud::ClusterResult want = cloud::simulate_cluster(cfg);
   EXPECT_GT(want.breaker_open_transitions, 0u);
   EXPECT_GT(want.rejected_requests, 0u);
   for (const unsigned workers : {1u, 4u}) {
     cfg.workers = workers;
-    expect_same_result(cloud::simulate_cluster_pdes(cfg), want,
+    expect_same_result(cloud::simulate_cluster(cfg), want,
                        "same-instant replies");
   }
-}
-
-TEST(ClusterPdes, SimulateClusterDispatchesOnNetLatency) {
-  const cloud::ClusterConfig cfg = small_pdes_config(kSeeds[1]);
-  expect_same_result(cloud::simulate_cluster(cfg),
-                     cloud::simulate_cluster_pdes(cfg), "dispatch");
 }
 
 TEST(ClusterPdes, ConfigValidationRejections) {
@@ -556,13 +556,40 @@ TEST(GoldenDigest, StackedPdesWithGrayDetection) {
   cfg.policy.gray.eval_interval_ms = 100;
   for (const unsigned workers : {0u, 1u, 4u}) {
     cfg.workers = workers;
-    const cloud::ClusterResult r = cloud::simulate_cluster_pdes(cfg);
+    const cloud::ClusterResult r = cloud::simulate_cluster(cfg);
     EXPECT_GT(r.breaker_open_transitions, 0u) << "workers=" << workers;
     EXPECT_GT(r.hedges, 0u) << "workers=" << workers;
     EXPECT_EQ(golden::digest(r), 0x59f227ba6e5252e7ULL)
         << "workers=" << workers;
   }
 }
+
+#if ARCH21_OBS_ENABLED
+// The same pin with a trace ring attached and the metrics registry on, on
+// the engines one ring may trace (the serial loopback reference and the
+// parallel engine at one worker): observability stays read-only on the
+// sharded transport too, and the ring absorbs the whole run.
+TEST(GoldenDigest, StackedPdesWithGrayDetectionTracedAndMetered) {
+  cloud::ClusterConfig cfg = stacked_pdes_config(kSeeds[0]);
+  cfg.policy.gray.enabled = true;
+  cfg.policy.gray.eval_interval_ms = 100;
+  auto& m = obs::MetricsRegistry::global();
+  for (const unsigned workers : {0u, 1u}) {
+    m.reset();
+    m.set_enabled(true);
+    obs::TraceBuffer trace(std::size_t{1} << 20, 1e3);
+    cfg.workers = workers;
+    cfg.trace = &trace;
+    const cloud::ClusterResult r = cloud::simulate_cluster(cfg);
+    m.set_enabled(false);
+    EXPECT_EQ(golden::digest(r), 0x59f227ba6e5252e7ULL)
+        << "workers=" << workers;
+    EXPECT_GT(trace.size(), 0u) << "workers=" << workers;
+    EXPECT_EQ(trace.dropped(), 0u) << "workers=" << workers;
+  }
+  m.reset();
+}
+#endif  // ARCH21_OBS_ENABLED
 
 // A guard table over generated configs (golden::generated_cluster_config):
 // twelve at zero latency, four of them power-capped (one per policy) and

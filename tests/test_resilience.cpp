@@ -425,10 +425,10 @@ TEST(ClusterTrials, AggregatesAndValidates) {
 
 // ---------------------------------------------------------- golden pins
 
-// Every fail-stop fault and client-policy feature of the serial engine at
-// once, pinned to the digest recorded before the client-policy core was
-// shared across engines (tests/golden_digest.hpp).  Never re-record it
-// to make a refactor pass.
+// Every fail-stop fault and client-policy feature of the zero-latency
+// model at once, pinned to the digest recorded before the client-policy
+// core was shared across engines (tests/golden_digest.hpp).  Never
+// re-record it to make a refactor pass.
 TEST(GoldenDigest, SerialFullStack) {
   const auto r = cloud::simulate_cluster(golden::full_stack_config());
   // Every layer the pin claims to cover actually engaged.
