@@ -427,6 +427,63 @@ TEST(DesQueueBatch, CancelsLandingMidBatchPreserveOrder) {
   }
 }
 
+// A PDES logical process runs its kernel in lookahead windows
+// (run(until)) and takes cross-LP messages between them.  When a burst
+// crowds one ladder bucket, the bucket under the cursor holds hundreds
+// of live events, and both the window's own actions and the messages
+// between windows insert into it ahead of its tail: mid-drain, past the
+// window's end.  The order must still match the reference heap.
+template <typename Sim>
+WorkloadResult replay_crowded_cursor(std::uint64_t seed) {
+  struct Ctx {
+    Sim sim;
+    Rng rng;
+    WorkloadResult out;
+    explicit Ctx(std::uint64_t s) : rng(s) {}
+  };
+  auto ctx = std::make_unique<Ctx>(seed);
+  Ctx* c = ctx.get();
+  // A sparse background over [0, 1000) sizes the first anchor's width
+  // at a few background events per bucket...
+  for (std::uint32_t i = 0; i < 1024; ++i) {
+    c->sim.schedule_at(c->rng.uniform(0.0, 1000.0),
+                       [c, i] { c->out.order.push_back(i); });
+  }
+  // ...so a 768-event crowd within 1 ms of t = 400 shares one bucket.
+  constexpr double kCrowd = 400.0;
+  constexpr double kSpan = 1e-3;
+  for (std::uint32_t i = 0; i < 768; ++i) {
+    c->sim.schedule_at(kCrowd + c->rng.uniform(0.0, kSpan), [c, i] {
+      c->out.order.push_back(10'000 + i);
+      if (i % 3 == 0) {
+        c->sim.schedule(c->rng.uniform(0.0, kSpan / 4),
+                        [c, i] { c->out.order.push_back(20'000 + i); });
+      }
+    });
+  }
+  for (std::uint32_t w = 0; w < 128; ++w) {
+    const double until = kCrowd + w * (kSpan / 64);
+    c->sim.run(until);
+    c->sim.schedule_at(until + c->rng.uniform(0.0, kSpan),
+                       [c, w] { c->out.order.push_back(30'000 + w); });
+  }
+  c->sim.run();
+  c->out.final_now = c->sim.now();
+  c->out.executed = c->sim.executed();
+  c->out.cancelled = c->sim.cancelled();
+  return std::move(c->out);
+}
+
+TEST(DesQueueBatch, CrowdedCursorBucketTakesOutOfOrderInserts) {
+  for (const std::uint64_t seed : kSeeds) {
+    const WorkloadResult ladder = replay_crowded_cursor<Simulator>(seed);
+    const WorkloadResult ref = replay_crowded_cursor<ReferenceSimulator>(seed);
+    EXPECT_EQ(ladder.order, ref.order) << "seed " << seed;
+    EXPECT_TRUE(ladder == ref) << "seed " << seed;
+    EXPECT_EQ(ladder.executed, 1024u + 768u + 256u + 128u) << "seed " << seed;
+  }
+}
+
 // --- large-scale stress differential (PR8) ----------------------------
 // Plain + cancellable + far-future overflow traffic with cancels issued
 // from inside callbacks at pseudo-random live/dead victims: the full SoA
