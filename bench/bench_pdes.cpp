@@ -41,6 +41,7 @@
 #include "des/partition.hpp"
 #include "des/pdes.hpp"
 #include "des/pdes_workload.hpp"
+#include "des/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
@@ -333,7 +334,12 @@ int main(int argc, char** argv) {
       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
       << ",\n  \"identical\": " << (all_identical ? "true" : "false")
       << ",\n  \"workers1_overhead\": " << overhead
-      << ",\n  \"workers4_speedup\": " << speedup4 << ",\n  \"rows\": [\n";
+      << ",\n  \"workers4_speedup\": " << speedup4
+      // One LP kernel's fixed footprint (bucket ring headers, occupancy
+      // bitmap, bookkeeping), before any event storage: informational,
+      // not gated.
+      << ",\n  \"kernel_bytes\": " << sizeof(des::Simulator)
+      << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"name\": \"" << r.name << "\", \"workers\": " << r.workers

@@ -86,13 +86,17 @@ done
 echo "-- asan: bench_overload --smoke"
 (cd build-asan && ASAN_OPTIONS="halt_on_error=1" ./bench/bench_overload --smoke)
 
-echo "== tier-1: UndefinedBehaviorSanitizer smoke (histogram + obs) =="
+echo "== tier-1: UndefinedBehaviorSanitizer smoke (histogram, obs, DES kernel) =="
 # Guards the PR4 bugfixes: NaN samples used to reach bucket_of(), where
 # log(NaN) -> size_t is UB; the obs suite exercises the metrics shards
-# and trace ring end to end under UBSan.
+# and trace ring end to end under UBSan.  The DES kernel converts
+# doubles to ladder bucket indices too, guarded only by its window
+# compares; test_des and test_des_queue drive those conversions through
+# far-future, clamped and re-fitted placements.
 cmake -B build-ubsan -S . -DARCH21_SAN=undefined >/dev/null
-cmake --build build-ubsan -j "$(nproc)" --target test_histogram test_obs
-for t in test_histogram test_obs; do
+cmake --build build-ubsan -j "$(nproc)" --target test_histogram test_obs \
+  test_des test_des_queue
+for t in test_histogram test_obs test_des test_des_queue; do
   echo "-- ubsan: $t"
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" "./build-ubsan/tests/$t"
 done

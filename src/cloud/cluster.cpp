@@ -84,8 +84,13 @@ void ClusterGrayConfig::validate() const {
   if (!enabled) return;
   // The trace parameterization is exactly a GrayTraceConfig; delegate so
   // the two layers can never drift apart on what is legal.
-  reliab::GrayTraceConfig gcfg;
+  reliab::GrayTraceConfig gcfg = trace_config();
   gcfg.entities = 1;
+  gcfg.validate();
+}
+
+reliab::GrayTraceConfig ClusterGrayConfig::trace_config() const {
+  reliab::GrayTraceConfig gcfg;
   gcfg.episode = episode;
   gcfg.w_slow = w_slow;
   gcfg.w_lossy = w_lossy;
@@ -98,7 +103,7 @@ void ClusterGrayConfig::validate() const {
   gcfg.spike_ms_min = spike_ms_min;
   gcfg.spike_ms_max = spike_ms_max;
   gcfg.spike_prob = spike_prob;
-  gcfg.validate();
+  return gcfg;
 }
 
 void ClusterConfig::validate() const {

@@ -132,6 +132,10 @@ struct ClusterGrayConfig {
   /// Any injection configured (trace or burst)?
   bool any() const noexcept { return enabled || burst_enabled(); }
 
+  /// The episode trace's parameters as a reliab::GrayTraceConfig; the
+  /// caller sets entities, horizon_hours and seed.
+  reliab::GrayTraceConfig trace_config() const;
+
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;
 };

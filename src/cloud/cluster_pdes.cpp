@@ -632,20 +632,8 @@ void ClusterScenario<Engine>::schedule_gray_injection() {
   gray_.assign(cfg_.leaves, LeafGray{});
   grng_ = Rng(cfg_.seed, 0x6417);
   if (gc.enabled) {
-    reliab::GrayTraceConfig gcfg;
+    reliab::GrayTraceConfig gcfg = gc.trace_config();
     gcfg.entities = cfg_.leaves;
-    gcfg.episode = gc.episode;
-    gcfg.w_slow = gc.w_slow;
-    gcfg.w_lossy = gc.w_lossy;
-    gcfg.w_zombie = gc.w_zombie;
-    gcfg.w_jittery = gc.w_jittery;
-    gcfg.slow_factor_min = gc.slow_factor_min;
-    gcfg.slow_factor_max = gc.slow_factor_max;
-    gcfg.loss_fraction_min = gc.loss_fraction_min;
-    gcfg.loss_fraction_max = gc.loss_fraction_max;
-    gcfg.spike_ms_min = gc.spike_ms_min;
-    gcfg.spike_ms_max = gc.spike_ms_max;
-    gcfg.spike_prob = gc.spike_prob;
     gcfg.horizon_hours = horizon_ms_ / kMsPerHour;
     // Its own sub-stream, like the fail-stop trace's 0xFA17.
     gcfg.seed = Rng(cfg_.seed, 0xFA51).next();

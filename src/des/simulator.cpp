@@ -24,43 +24,12 @@ void Simulator::set_trace(obs::TraceBuffer* t, std::uint32_t tid) {
 }
 #endif
 
-// ----------------------------------------------- SoA min-heap primitives
+// ------------------------------------------------------- bucket storage
 //
-// A bucket heap is two parallel lanes; every comparison reads the 16-byte
-// key lane only, and each sift moves key and payload in lockstep.  Keys
-// are unique, so the pop sequence of any valid min-heap over them is the
-// exact (t, seq) sorted order -- internal heap layout is unobservable.
-
-void Simulator::sift_up(Key* k, Ref* r, std::size_t i) noexcept {
-  const Key kv = k[i];
-  const Ref rv = r[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(kv, k[parent])) break;
-    k[i] = k[parent];
-    r[i] = r[parent];
-    i = parent;
-  }
-  k[i] = kv;
-  r[i] = rv;
-}
-
-void Simulator::sift_down(Key* k, Ref* r, std::size_t n,
-                          std::size_t i) noexcept {
-  const Key kv = k[i];
-  const Ref rv = r[i];
-  for (;;) {
-    std::size_t c = 2 * i + 1;
-    if (c >= n) break;
-    if (c + 1 < n && earlier(k[c + 1], k[c])) ++c;
-    if (!earlier(k[c], kv)) break;
-    k[i] = k[c];
-    r[i] = r[c];
-    i = c;
-  }
-  k[i] = kv;
-  r[i] = rv;
-}
+// A bucket is two parallel lanes; every comparison reads the 16-byte key
+// lane only, and every move carries key and payload in lockstep.  Keys
+// are unique, so sorting them gives the exact (t, seq) order -- how a
+// bucket was filled is unobservable.
 
 void Simulator::purge_cancelled(Bucket& b) {
   const std::size_t n = b.keys.size();
@@ -96,7 +65,8 @@ void Simulator::purge_cancelled(Bucket& b) {
   }
 }
 
-void Simulator::retire_bucket(Bucket& b) {
+void Simulator::retire_bucket(std::size_t ring) {
+  Bucket& b = buckets_[ring];
   if (b.keys.capacity() > kRetainedCapacity) {
     std::vector<Key>().swap(b.keys);
     std::vector<Ref>().swap(b.refs);
@@ -104,15 +74,16 @@ void Simulator::retire_bucket(Bucket& b) {
     b.keys.clear();
     b.refs.clear();
   }
+  occ_clear(ring);
+  cur_head_ = 0;
 }
 
 void Simulator::sort_bucket(Bucket& b) {
   const std::size_t n = b.keys.size();
   if (n < 2) return;
-  // Join the lanes into contiguous 24-byte records, introsort them (far
-  // fewer branch misses and cache misses than n heap pops over the same
-  // data), and split back.  The two O(n) copies are noise next to the
-  // O(n log n) compare/swap work they make cheap.
+  // Join the lanes into contiguous 24-byte records, introsort them, and
+  // split back.  The two O(n) copies are noise next to the O(n log n)
+  // compare/swap work they make cheap.
   sort_buf_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     sort_buf_[i] =
@@ -129,27 +100,12 @@ void Simulator::sort_bucket(Bucket& b) {
   }
 }
 
-void Simulator::pop_min(Bucket& b, Event& out) noexcept {
-  out.t = b.keys.front().t;
-  out.seq = b.keys.front().seq;
-  out.slot = b.refs.front().slot;
-  out.act = b.refs.front().act;
-  const std::size_t n = b.keys.size() - 1;
-  if (n > 0) {
-    b.keys.front() = b.keys[n];
-    b.refs.front() = b.refs[n];
-  }
-  b.keys.pop_back();
-  b.refs.pop_back();
-  if (n > 1) sift_down(b.keys.data(), b.refs.data(), n, 0);
-}
-
 // --------------------------------------------------------------- insert
 
 void Simulator::insert(Event ev) {
   if (width_ > 0) {
     // Track the live scheduling horizon: a decaying max of how far ahead
-    // of the clock events are being scheduled.  reanchor() sizes the
+    // of the clock events are being scheduled.  fit_width() sizes the
     // window to kSpreadSlack times this, so in steady state new events
     // land in the ladder, not the overflow tier.  The 1/1024 decay lets
     // the window shrink again within ~a thousand events when a phase
@@ -183,25 +139,11 @@ void Simulator::place(Event ev) {
     return;
   }
   ++size_;
-  if (width_ > 0) {
-    // Bucket index is floor((t - origin) / width), computed in doubles so
-    // absurdly far timestamps (kForever) cannot overflow the integer
-    // conversion.  floor of a monotone function is monotone, so bucket
-    // order always respects timestamp order; the clamp to the cursor
-    // bucket (events scheduled "behind" the cursor after a run(until)
-    // stopped the clock early) only ever moves an event *earlier*, which
-    // the per-bucket heap absorbs without breaking order.
-    const double rel = (ev.t - origin_) / width_;
-    if (rel < static_cast<double>(cur_bucket_ + kBucketCount)) {
-      std::uint64_t b = cur_bucket_;
-      if (rel > static_cast<double>(cur_bucket_)) {
-        b = static_cast<std::uint64_t>(rel);
-        if (b < cur_bucket_) b = cur_bucket_;  // fp edge at the boundary
-      }
-      place_ladder(ev, b);
-      return;
-    }
-  }
+  if (width_ > 0 && place_ladder(ev)) return;
+  stage(ev);
+}
+
+void Simulator::stage(const Event& ev) {
   // Overflow insert: O(1) append to the staging tail plus a cached-min
   // update; ordering work is deferred until the tier must yield events.
   overflow_staging_.push_back(ev);
@@ -211,69 +153,64 @@ void Simulator::place(Event ev) {
 }
 
 void Simulator::overflow_merge_staging() {
+  staging_min_ = Key{kForever, ~std::uint64_t{0}};
   if (overflow_staging_.empty()) return;
   std::sort(overflow_staging_.begin(), overflow_staging_.end(), Later{});
+  if (overflow_.empty()) {
+    overflow_.swap(overflow_staging_);  // both keep their reserved storage
+    return;
+  }
   const auto mid = static_cast<std::ptrdiff_t>(overflow_.size());
   overflow_.insert(overflow_.end(), overflow_staging_.begin(),
                    overflow_staging_.end());
   std::inplace_merge(overflow_.begin(), overflow_.begin() + mid,
                      overflow_.end(), Later{});
   overflow_staging_.clear();
-  staging_min_ = Key{kForever, ~std::uint64_t{0}};
 }
 
-void Simulator::place_ladder(const Event& ev, std::uint64_t b) {
-  Bucket& bucket = buckets_[b & kBucketMask];
-  occ_set(b & kBucketMask);
-  // Only the bucket under the cursor is kept ordered; the rest are
-  // append-only until the cursor reaches them (peek() sorts).
-  if (b == heapified_bucket_) {
-    if (cur_sorted_) {
-      if (bucket.keys.empty() ||
-          !earlier(Key{ev.t, ev.seq}, bucket.keys.back())) {
-        // In-order append: the bucket stays fully sorted.
-        bucket.keys.push_back(Key{ev.t, ev.seq});
-        bucket.refs.push_back(Ref{ev.slot, ev.act});
-      } else if (bucket.keys.size() - cur_head_ <= 256) {
-        // Small bucket: absorb the out-of-order insert by shifting (one
-        // short memmove) so drains stay contiguous slices.  The cap
-        // bounds the shift cost; larger buckets drop to heap
-        // maintenance below.
-        const Key k{ev.t, ev.seq};
-        auto it = std::upper_bound(
-            bucket.keys.begin() + static_cast<std::ptrdiff_t>(cur_head_),
-            bucket.keys.end(), k,
-            [](const Key& a, const Key& c) noexcept { return earlier(a, c); });
-        const std::ptrdiff_t pos = it - bucket.keys.begin();
-        bucket.keys.insert(it, k);
-        bucket.refs.insert(bucket.refs.begin() + pos, Ref{ev.slot, ev.act});
-      } else {
-        // Out-of-order insert: compact the consumed prefix and drop to
-        // plain heap maintenance for the rest of this visit (a sorted
-        // array is a valid heap, so sift_up just works).
-        bucket.keys.erase(bucket.keys.begin(),
-                          bucket.keys.begin() +
-                              static_cast<std::ptrdiff_t>(cur_head_));
-        bucket.refs.erase(bucket.refs.begin(),
-                          bucket.refs.begin() +
-                              static_cast<std::ptrdiff_t>(cur_head_));
-        cur_head_ = 0;
-        cur_sorted_ = false;
-        bucket.keys.push_back(Key{ev.t, ev.seq});
-        bucket.refs.push_back(Ref{ev.slot, ev.act});
-        sift_up(bucket.keys.data(), bucket.refs.data(),
-                bucket.keys.size() - 1);
-      }
-    } else {
-      bucket.keys.push_back(Key{ev.t, ev.seq});
-      bucket.refs.push_back(Ref{ev.slot, ev.act});
-      sift_up(bucket.keys.data(), bucket.refs.data(), bucket.keys.size() - 1);
-    }
+std::uint64_t Simulator::bucket_of(Time t) const noexcept {
+  // floor((t - origin) / width), computed in doubles so absurdly far
+  // timestamps (kForever) cannot overflow the integer conversion.  floor
+  // of a monotone function is monotone, so bucket order always respects
+  // timestamp order; the clamp to the cursor bucket (events scheduled
+  // "behind" the cursor after a run(until) stopped the clock early) only
+  // ever moves an event *earlier*, which the sorted cursor bucket absorbs
+  // without breaking order.
+  const double rel = (t - origin_) / width_;
+  if (!(rel < static_cast<double>(cur_bucket_ + kBucketCount))) {
+    return kNoBucket;
+  }
+  if (!(rel > static_cast<double>(cur_bucket_))) return cur_bucket_;
+  // max(): the fp edge at the cursor bucket's boundary.
+  return std::max(static_cast<std::uint64_t>(rel), cur_bucket_);
+}
+
+bool Simulator::place_ladder(const Event& ev) {
+  const std::uint64_t b = bucket_of(ev.t);
+  if (b == kNoBucket) return false;
+  const std::size_t ring = b & kBucketMask;
+  Bucket& bucket = buckets_[ring];
+  occ_set(ring);
+  const Key k{ev.t, ev.seq};
+  // Only the bucket under the cursor is kept sorted; the rest are
+  // append-only until the cursor reaches them (peek() sorts).  An insert
+  // ahead of the cursor bucket's tail shifts into place after the live
+  // head (one memmove per lane), so drains stay contiguous slices.
+  if (b == sorted_bucket_ && !bucket.keys.empty() &&
+      earlier(k, bucket.keys.back())) {
+    const auto it = std::upper_bound(
+        bucket.keys.begin() + static_cast<std::ptrdiff_t>(cur_head_),
+        bucket.keys.end(), k,
+        [](const Key& a, const Key& c) noexcept { return earlier(a, c); });
+    const std::ptrdiff_t pos = it - bucket.keys.begin();
+    bucket.keys.insert(it, k);
+    bucket.refs.insert(bucket.refs.begin() + pos, Ref{ev.slot, ev.act});
   } else {
-    bucket.keys.push_back(Key{ev.t, ev.seq});
+    bucket.keys.push_back(k);
     bucket.refs.push_back(Ref{ev.slot, ev.act});
   }
   ++ladder_size_;
+  return true;
 }
 
 void Simulator::migrate_overflow() {
@@ -285,131 +222,75 @@ void Simulator::migrate_overflow() {
   // Pops come off the back of the sorted run, O(1) per event; the
   // staging tail folds in (one sort + merge) only if it holds the head.
   // Events stay counted in size_; only the tier changes.
-  const double limit = static_cast<double>(cur_bucket_ + kBucketCount);
-  for (;;) {
+  do {
     if (overflow_.empty() ||
-        (!overflow_staging_.empty() &&
-         earlier(staging_min_,
-                 Key{overflow_.back().t, overflow_.back().seq}))) {
+        earlier(staging_min_, Key{overflow_.back().t, overflow_.back().seq})) {
       overflow_merge_staging();
     }
-    const Event e = overflow_.back();
+    if (!place_ladder(overflow_.back())) return;
     overflow_.pop_back();
-    const double rel = (e.t - origin_) / width_;
-    std::uint64_t b = cur_bucket_;
-    if (rel > static_cast<double>(cur_bucket_)) {
-      b = static_cast<std::uint64_t>(rel);
-      if (b < cur_bucket_) b = cur_bucket_;  // fp edge at the boundary
-    }
-    place_ladder(e, b);
-    if (overflow_empty()) return;
-    const Key h = overflow_head();
-    if (!((h.t - origin_) / width_ < limit)) return;
+  } while (!overflow_empty() && bucket_of(overflow_head().t) != kNoBucket);
+}
+
+double Simulator::fit_width(double span, std::size_t n) const noexcept {
+  // At least kGapsPerBucket mean inter-execution gaps per bucket (the
+  // density floor), widened so the whole window spans kSpreadSlack times
+  // the live scheduling horizon -- the regime where timeout-per-call
+  // workloads keep thousands of timers ~spread ahead of the clock, which
+  // must land in the ladder, not churn through the overflow tier.
+  // Before any execution history exists (everything was scheduled ahead
+  // of the first run), estimate the gap from the backlog's `span` and
+  // population `n` instead.
+  double w = gap_ewma_ * kGapsPerBucket;
+  if (!(w > 0)) {
+    w = kGapsPerBucket * span / static_cast<double>(n);
+    if (!(w > 0)) w = 1.0;  // all at one timestamp; any width works
   }
+  const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
+  return spread_w > w ? spread_w : w;
+}
+
+void Simulator::anchor(Time origin, double width) {
+  width_ = width;
+  origin_ = origin;
+  anchor_executed_ = executed_;
+  cur_bucket_ = 0;
+  sorted_bucket_ = kNoBucket;  // absolute numbering restarted
+  cur_head_ = 0;
 }
 
 void Simulator::reanchor() {
   // Called only when every bucket is empty (so the occupancy bitmap is
   // all-zero too): the window geometry may change freely because no
-  // event straddles old and new placement.
-  //
-  // Width policy: at least kGapsPerBucket mean inter-execution gaps per
-  // bucket (the density floor), widened so the whole window spans
-  // kSpreadSlack times the live scheduling horizon -- the regime where
-  // timeout-per-call workloads keep thousands of timers ~spread ahead of
-  // the clock, which must land in the ladder, not churn through the
-  // overflow heap.  Before any execution history exists (everything was
-  // scheduled ahead of the first run), estimate the gap from the overflow
-  // backlog's span and population instead.
-  if (width_ == 0 && overflow_.empty()) {
-    // First anchor over a pre-scheduled backlog.  The sorted run is
-    // empty (a cold start may have left one; the steady-state path
-    // below handles that), so every event sits in the unsorted
-    // staging tail: scan it for the span, partition it in one
-    // O(n) pass -- window events drop into their buckets (append-only;
-    // sorted lazily by the cursor), the rest are compacted in place and
-    // sorted once to become the run.  No per-event O(log n).
-    double lo = overflow_staging_.front().t;
-    double hi = lo;
-    for (const Event& e : overflow_staging_) {
-      lo = std::min(lo, e.t);
-      hi = std::max(hi, e.t);
-    }
-    double w = gap_ewma_ * kGapsPerBucket;
-    if (!(w > 0)) {
-      w = kGapsPerBucket * (hi - lo) /
-          static_cast<double>(overflow_staging_.size());
-      if (!(w > 0)) w = 1.0;  // all at one timestamp; any width works
-    }
-    const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
-    if (spread_w > w) w = spread_w;
-    width_ = w;
-    origin_ = lo;
-    anchor_executed_ = executed_;
-    cur_bucket_ = 0;
-    heapified_bucket_ = kNoBucket;  // absolute numbering restarted
-    cur_sorted_ = false;
-    cur_head_ = 0;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < overflow_staging_.size(); ++i) {
-      const Event& e = overflow_staging_[i];
-      const double rel = (e.t - origin_) / width_;
-      if (rel < static_cast<double>(kBucketCount)) {
-        std::uint64_t b = rel > 0 ? static_cast<std::uint64_t>(rel) : 0;
-        if (b >= kBucketCount) b = kBucketCount - 1;  // fp edge
-        buckets_[b].keys.push_back(Key{e.t, e.seq});
-        buckets_[b].refs.push_back(Ref{e.slot, e.act});
-        occ_set(b);
-        ++ladder_size_;
-      } else {
-        if (keep != i) overflow_staging_[keep] = e;
-        ++keep;
-      }
-    }
-    overflow_staging_.resize(keep);
-    overflow_.swap(overflow_staging_);  // staging keeps its capacity via
-                                        // the (reserved) old run vector
-    std::sort(overflow_.begin(), overflow_.end(), Later{});
-    staging_min_ = Key{kForever, ~std::uint64_t{0}};
-    return;
+  // event straddles old and new placement.  The window starts at the
+  // overflow minimum, so at least that event (rel == 0) fits and the
+  // ladder always gains one.
+  double lo = staging_min_.t;
+  double hi = -kForever;
+  if (!overflow_.empty()) {
+    lo = std::min(lo, overflow_.back().t);  // descending: back is min
+    hi = overflow_.front().t;
   }
-  // Steady state: fold any staged inserts into the sorted run (the only
-  // potentially super-constant step, amortized over the inserts that
-  // filled the staging tail), then set the window and migrate its prefix
-  // by popping off the back -- O(1) per event moved, never a full scan,
-  // so a far-future trickle drains one window at a time.  At least the
-  // overall minimum fits (rel == 0), so the ladder always gains an
-  // event.  Bucket/overflow capacities are retained across windows, so
-  // steady state allocates nothing.
-  overflow_merge_staging();
-  const double lo = overflow_.back().t;
-  double w = gap_ewma_ * kGapsPerBucket;
-  if (!(w > 0)) {
-    const double hi = overflow_.front().t;  // descending: front is max
-    w = kGapsPerBucket * (hi - lo) / static_cast<double>(overflow_.size());
-    if (!(w > 0)) w = 1.0;  // all at one timestamp; any width works
+  for (const Event& e : overflow_staging_) hi = std::max(hi, e.t);
+  anchor(lo, fit_width(hi - lo, overflow_.size() + overflow_staging_.size()));
+  // Partition the unsorted staging tail in one O(n) pass: window events
+  // drop into their buckets (append-only; sorted lazily by the cursor),
+  // the rest are compacted in place.  No per-event O(log n).
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < overflow_staging_.size(); ++i) {
+    const Event e = overflow_staging_[i];
+    if (!place_ladder(e)) overflow_staging_[keep++] = e;
   }
-  const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
-  if (spread_w > w) w = spread_w;
-  width_ = w;
-  origin_ = lo;
-  anchor_executed_ = executed_;
-  cur_bucket_ = 0;
-  heapified_bucket_ = kNoBucket;  // absolute numbering restarted
-  cur_sorted_ = false;
-  cur_head_ = 0;
-  while (!overflow_.empty()) {
-    const double rel = (overflow_.back().t - origin_) / width_;
-    if (!(rel < static_cast<double>(kBucketCount))) break;
-    const Event e = overflow_.back();
+  overflow_staging_.resize(keep);
+  // Then pop the sorted run's window prefix off its back -- O(1) per
+  // event moved, never a full scan, so a far-future trickle drains one
+  // window at a time -- and fold the tail's leftovers into the run.
+  // Bucket/overflow capacities are retained across windows, so steady
+  // state allocates nothing.
+  while (!overflow_.empty() && place_ladder(overflow_.back())) {
     overflow_.pop_back();
-    std::uint64_t b = rel > 0 ? static_cast<std::uint64_t>(rel) : 0;
-    if (b >= kBucketCount) b = kBucketCount - 1;  // fp edge
-    buckets_[b].keys.push_back(Key{e.t, e.seq});
-    buckets_[b].refs.push_back(Ref{e.slot, e.act});
-    occ_set(b);
-    ++ladder_size_;
   }
+  overflow_merge_staging();
 }
 
 bool Simulator::maybe_rebucket() {
@@ -422,16 +303,15 @@ bool Simulator::maybe_rebucket() {
   if (since < kMinExecuted || since < ladder_size_ || !(gap_ewma_ > 0)) {
     return false;
   }
-  double target = gap_ewma_ * kGapsPerBucket;
-  const double spread_w = kSpreadSlack * live_spread_ / kBucketCount;
-  if (spread_w > target) target = spread_w;
+  const double target = fit_width(0, 1);  // gap_ewma_ > 0: no fallback
   if (!(target > width_ * 2.0) && !(target * 2.0 < width_)) return false;
-  // Collect every live ladder event (the cursor bucket's consumed prefix
-  // is dead and excluded), re-seat the window at the clock, and re-place
-  // under the new width; events the narrower window no longer covers
-  // drop to the overflow staging tail.  All pending events satisfy
-  // t >= now_ (firing follows global key order), so origin_ = now_ is a
-  // lower bound and bucket indices stay non-negative.
+  // Collect every live ladder event (the cursor has just entered a fresh
+  // bucket, so no bucket has a consumed prefix), re-seat the window at
+  // the clock, and re-place under the new width; events the narrower
+  // window no longer covers drop to the overflow staging tail.  All
+  // pending events satisfy t >= now_ (firing follows global key order),
+  // so origin_ = now_ is a lower bound and bucket indices stay
+  // non-negative.
   sort_buf_.clear();
   for (std::size_t word = 0; word < occ_.size(); ++word) {
     std::uint64_t bits = occ_[word];
@@ -439,40 +319,18 @@ bool Simulator::maybe_rebucket() {
       const auto ring = (word << 6) |
                         static_cast<std::size_t>(std::countr_zero(bits));
       bits &= bits - 1;
-      Bucket& bk = buckets_[ring];
-      const std::size_t start =
-          (ring == (cur_bucket_ & kBucketMask) && cur_sorted_) ? cur_head_ : 0;
-      for (std::size_t i = start; i < bk.keys.size(); ++i) {
+      const Bucket& bk = buckets_[ring];
+      for (std::size_t i = 0; i < bk.keys.size(); ++i) {
         sort_buf_.push_back(Event{bk.keys[i].t, bk.keys[i].seq,
                                   bk.refs[i].slot, bk.refs[i].act});
       }
-      retire_bucket(bk);
+      retire_bucket(ring);
     }
   }
-  occ_.fill(0);
-  width_ = target;
-  origin_ = now_;
-  cur_bucket_ = 0;
-  heapified_bucket_ = kNoBucket;
-  cur_sorted_ = false;
-  cur_head_ = 0;
+  anchor(now_, target);
   ladder_size_ = 0;
-  anchor_executed_ = executed_;
   for (const Event& e : sort_buf_) {
-    const double rel = (e.t - origin_) / width_;
-    if (rel < static_cast<double>(kBucketCount)) {
-      std::uint64_t b = rel > 0 ? static_cast<std::uint64_t>(rel) : 0;
-      if (b >= kBucketCount) b = kBucketCount - 1;  // fp edge
-      buckets_[b].keys.push_back(Key{e.t, e.seq});
-      buckets_[b].refs.push_back(Ref{e.slot, e.act});
-      occ_set(b);
-      ++ladder_size_;
-    } else {
-      overflow_staging_.push_back(e);
-      if (earlier(Key{e.t, e.seq}, staging_min_)) {
-        staging_min_ = Key{e.t, e.seq};
-      }
-    }
+    if (!place_ladder(e)) stage(e);
   }
   ++refits_;
   refit_moves_ += sort_buf_.size();
@@ -488,7 +346,6 @@ bool Simulator::maybe_rebucket() {
 
 const Simulator::Key* Simulator::peek() {
   if (size_ == 0) return nullptr;
-  Bucket* curp;
   for (;;) {
     if (ladder_size_ == 0) {
       if (overflow_empty()) return nullptr;  // purges drained everything
@@ -524,30 +381,26 @@ const Simulator::Key* Simulator::peek() {
         }
       }
     }
-    curp = &buckets_[cur_bucket_ & kBucketMask];
-    if (heapified_bucket_ == cur_bucket_) break;
+    if (sorted_bucket_ == cur_bucket_) break;
     // Fresh bucket: the one spot where ladder geometry is re-judged
     // against the gap estimator (cheap compare; the re-fit itself is
     // rare) before the first-visit purge + sort.
     if (maybe_rebucket()) continue;
     // First visit since the bucket filled: drop already-cancelled events
-    // in one compaction pass, then one sort instead of a sift_up per
-    // insert (amortized O(log bucket) per event, contiguous).
-    purge_cancelled(*curp);
-    if (curp->keys.empty()) {
-      retire_bucket(*curp);
-      occ_clear(cur_bucket_ & kBucketMask);
+    // in one compaction pass, then one sort instead of an ordered insert
+    // per event (amortized O(log bucket) per event, contiguous).
+    Bucket& fresh = buckets_[cur_bucket_ & kBucketMask];
+    purge_cancelled(fresh);
+    if (fresh.keys.empty()) {
+      retire_bucket(cur_bucket_ & kBucketMask);
       if (size_ == 0) return nullptr;
       continue;  // everything here was cancelled; keep scanning
     }
-    sort_bucket(*curp);
-    heapified_bucket_ = cur_bucket_;
-    cur_sorted_ = true;
-    cur_head_ = 0;
+    sort_bucket(fresh);
+    sorted_bucket_ = cur_bucket_;
     break;
   }
-  Bucket& cur = *curp;
-  const Key& lh = cur.keys[cur_sorted_ ? cur_head_ : 0];
+  const Key& lh = buckets_[cur_bucket_ & kBucketMask].keys[cur_head_];
   // An overflow event can become earlier than the ladder head as the
   // window slides past its insert-time horizon; order is decided by the
   // exact (t, seq) comparison, never by which tier an event sits in.
@@ -583,26 +436,12 @@ Simulator::Event Simulator::pop_overflow() {
 Simulator::Event Simulator::pop_head() {
   // Callers migrate the overflow head into the ladder first (see
   // migrate_overflow), so the head is always in the cursor bucket here.
-  Event ev;
-  {
-    Bucket& b = buckets_[cur_bucket_ & kBucketMask];
-    if (cur_sorted_) {
-      ev = Event{b.keys[cur_head_].t, b.keys[cur_head_].seq,
+  const std::size_t ring = cur_bucket_ & kBucketMask;
+  const Bucket& b = buckets_[ring];
+  const Event ev{b.keys[cur_head_].t, b.keys[cur_head_].seq,
                  b.refs[cur_head_].slot, b.refs[cur_head_].act};
-      if (++cur_head_ == b.keys.size()) {
-        retire_bucket(b);
-        cur_head_ = 0;
-        occ_clear(cur_bucket_ & kBucketMask);
-      }
-    } else {
-      pop_min(b, ev);
-      if (b.keys.empty()) {
-        retire_bucket(b);
-        occ_clear(cur_bucket_ & kBucketMask);
-      }
-    }
-    --ladder_size_;
-  }
+  if (++cur_head_ == b.keys.size()) retire_bucket(ring);
+  --ladder_size_;
   --size_;
   return ev;
 }
@@ -760,53 +599,36 @@ bool Simulator::fire_single(const Event& ev) {
 }
 
 std::uint64_t Simulator::drain_bucket(Time until) {
-  // peek() has just heapified the cursor bucket (and the overflow tier
-  // if nonempty) and established that the bucket head is due.  Pop the
-  // whole due prefix -- everything at or before `until` and before the
-  // overflow head -- into the scratch span in one heap-drain pass, then
-  // fire the span as a tight loop.  All other pending events (later
-  // buckets, overflow) are at or past the splice bound computed below,
-  // so only *new* inserts can land inside the span; place() detects
-  // those against batch_limit_ and splices them into the sorted unfired
-  // remainder, which preserves the exact step()-at-a-time order without
-  // ever aborting the batch.
-  Bucket& b = buckets_[cur_bucket_ & kBucketMask];
+  // peek() has just sorted the cursor bucket and established that its
+  // head is due.  Slice the whole due prefix -- everything at or before
+  // `until` and before the overflow head, contiguous from cur_head_ --
+  // into the scratch span, then fire the span as a tight loop.  All
+  // other pending events (later buckets, overflow) are at or past the
+  // splice bound computed below, so only *new* inserts can land inside
+  // the span; place() detects those against batch_limit_ and splices them
+  // into the sorted unfired remainder, which preserves the exact
+  // step()-at-a-time order without ever aborting the batch.
+  const std::size_t ring = cur_bucket_ & kBucketMask;
+  const Bucket& b = buckets_[ring];
   Key lim{until, ~std::uint64_t{0}};
   if (!overflow_empty()) {
     const Key ok = overflow_head();
     if (earlier(ok, lim)) lim = ok;
   }
   scratch_.clear();
-  bool emptied = false;
-  if (cur_sorted_) {
-    // Sorted bucket: the due events are the contiguous prefix starting
-    // at cur_head_ -- slice it into scratch with no heap work at all.
-    const std::size_t n = b.keys.size();
-    std::size_t m = cur_head_;
-    while (m < n && !earlier(lim, b.keys[m])) ++m;
-    scratch_.reserve(m - cur_head_);
-    for (std::size_t j = cur_head_; j < m; ++j) {
-      scratch_.push_back(Event{b.keys[j].t, b.keys[j].seq, b.refs[j].slot,
-                               b.refs[j].act});
-    }
-    cur_head_ = m;
-    if (cur_head_ == n) {
-      retire_bucket(b);
-      cur_head_ = 0;
-      occ_clear(cur_bucket_ & kBucketMask);
-      emptied = true;
-    }
+  const std::size_t n = b.keys.size();
+  std::size_t m = cur_head_;
+  while (m < n && !earlier(lim, b.keys[m])) ++m;
+  scratch_.reserve(m - cur_head_);
+  for (std::size_t j = cur_head_; j < m; ++j) {
+    scratch_.push_back(
+        Event{b.keys[j].t, b.keys[j].seq, b.refs[j].slot, b.refs[j].act});
+  }
+  const bool emptied = m == n;
+  if (emptied) {
+    retire_bucket(ring);
   } else {
-    while (!b.keys.empty() && !earlier(lim, b.keys.front())) {
-      Event ev;
-      pop_min(b, ev);
-      scratch_.push_back(ev);
-    }
-    if (b.keys.empty()) {
-      retire_bucket(b);
-      occ_clear(cur_bucket_ & kBucketMask);
-      emptied = true;
-    }
+    cur_head_ = m;
   }
   const std::size_t popped = scratch_.size();
   ladder_size_ -= popped;

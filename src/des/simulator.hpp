@@ -12,14 +12,18 @@
 // sorted-run overflow tier and migrate into the ladder when its window
 // reaches them.
 // Scheduling and firing are O(1) amortized instead of the O(log n) of one
-// big binary heap, and the small per-bucket heaps stay cache-resident.
+// big binary heap, and the small per-bucket arrays stay cache-resident.
+// Only the bucket under the cursor is ordered: it is sorted once when
+// the cursor reaches it and stays sorted (an in-order insert appends, an
+// out-of-order one shifts into place), so pops are front advances and
+// drains are prefix slices.
 //
 // Memory layout (structure-of-arrays): each ladder bucket stores its
 // events as two parallel lanes -- a 16-byte key lane (timestamp, seq)
 // that every comparison touches, and an 8-byte payload lane (cancel slot,
-// action index) that is only read when an event actually fires.  Heap
-// sifts and min-scans therefore stream through densely packed keys (4 per
-// cache line) instead of 24-byte mixed records, and a 1-bit-per-bucket
+// action index) that is only read when an event actually fires.  Ordered
+// inserts and drain scans therefore stream through densely packed keys (4
+// per cache line) instead of 24-byte mixed records, and a 1-bit-per-bucket
 // occupancy bitmap lets the cursor skip runs of 64 empty buckets with one
 // count-trailing-zeros.  Ordering is decided purely by (timestamp, seq)
 // -- bucket geometry (width, window position, re-anchoring) and layout
@@ -28,8 +32,8 @@
 // (tests/test_des_queue.cpp replays seeded workloads against a reference
 // binary heap and asserts identical execution order).
 //
-// Batched drain: run() pops every due event of the bucket under the
-// cursor into a contiguous scratch span in one heap-drain pass, then
+// Batched drain: run() slices every due event of the bucket under the
+// cursor into a contiguous scratch span in one pass, then
 // fires the span as a tight loop -- per-event peek/cursor/overflow checks
 // are amortized over the whole bucket.  An action that schedules a new
 // event below the drain's splice bound (everything outside the span is
@@ -257,9 +261,9 @@ class Simulator {
 
  private:
   /// 16-byte key lane entry: everything a comparison needs.  Keys are
-  /// unique ((t, seq) with a process-monotone seq), so any min-heap pop
-  /// sequence over them is THE sorted order -- heap layout, SoA lanes,
-  /// and batch drains can never reorder two events.
+  /// unique ((t, seq) with a process-monotone seq), so sorting them gives
+  /// THE order -- bucket fill order, SoA lanes, and batch drains can
+  /// never reorder two events.
   struct Key {
     Time t;
     std::uint64_t seq;
@@ -287,9 +291,9 @@ class Simulator {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   }
-  /// One ladder bucket: parallel key/payload lanes, kept as a binary
-  /// min-heap (lazily, see heapified_bucket_) whose sifts compare keys
-  /// only and move both lanes in lockstep.
+  /// One ladder bucket: parallel key/payload lanes, unordered until the
+  /// cursor reaches it and sorted from then on (see sorted_bucket_);
+  /// comparisons read keys only and moves carry both lanes in lockstep.
   struct Bucket {
     std::vector<Key> keys;
     std::vector<Ref> refs;
@@ -305,7 +309,7 @@ class Simulator {
   static constexpr std::size_t kBucketCount = std::size_t{1} << kBucketBits;
   static constexpr std::size_t kBucketMask = kBucketCount - 1;
   /// Mean inter-event gaps per bucket: ~1 targets the ideal calendar
-  /// occupancy (pops from near-singleton buckets cost no heap moves);
+  /// occupancy (near-singleton buckets cost almost nothing to sort);
   /// much below that the cursor wastes time skipping empty buckets.
   static constexpr double kGapsPerBucket = 4.0;
   /// Samples the gap estimator averages over (an exact running mean for
@@ -334,17 +338,9 @@ class Simulator {
   static constexpr std::uint64_t kColdGapSamples = 16;
   static constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
-  // -- SoA min-heap primitives (keys compared, both lanes moved) --
-  static void sift_up(Key* k, Ref* r, std::size_t i) noexcept;
-  static void sift_down(Key* k, Ref* r, std::size_t n,
-                        std::size_t i) noexcept;
-  /// Pop the minimum of a heapified bucket into `out` (both lanes).
-  static void pop_min(Bucket& b, Event& out) noexcept;
-  /// Sort both lanes of `b` ascending by key (one contiguous introsort).
-  /// A sorted array satisfies the min-heap property, so a sorted bucket
-  /// is usable everywhere a heapified one is -- but pops become O(1)
-  /// front advances (cur_head_) and drains become prefix slices, with no
-  /// sift_down at all on the common path.
+  /// Sort both lanes of `b` ascending by key (one contiguous introsort),
+  /// when the cursor first reaches it.  Pops are then O(1) front advances
+  /// (cur_head_) and drains are prefix slices.
   void sort_bucket(Bucket& b);
   /// Discard already-cancelled events from `b` in one compaction pass
   /// (run when the cursor first reaches the bucket, before sorting).
@@ -360,13 +356,18 @@ class Simulator {
   /// Drop `ev` into its ladder bucket or the overflow tier (no estimator
   /// update -- schedule_n() amortizes that over a whole span).
   void place(Event ev);
-  /// Push `ev` into ladder bucket `b` (absolute number), maintaining the
-  /// cursor bucket's sorted/heap discipline.  ++ladder_size_; the caller
-  /// accounts size_.
-  void place_ladder(const Event& ev, std::uint64_t b);
+  /// Absolute ladder bucket of time `t` under the current geometry,
+  /// clamped up to the cursor, or kNoBucket if `t` lies past the window.
+  std::uint64_t bucket_of(Time t) const noexcept;
+  /// The one bucket placement: push `ev` into its bucket (keeping the
+  /// cursor bucket sorted) and ++ladder_size_, or return false, touching
+  /// nothing, if it lies past the window.  The caller accounts size_.
+  bool place_ladder(const Event& ev);
+  /// Append `ev` to the overflow staging tail (caller accounts size_).
+  void stage(const Event& ev);
   /// Move the overflow head -- and every further overflow event the
   /// sliding window now covers -- into the ladder buckets, so they fire
-  /// through batched drains instead of one-at-a-time off the heap.
+  /// through batched drains instead of one at a time off the overflow tier.
   void migrate_overflow();
   bool overflow_empty() const noexcept {
     return overflow_.empty() && overflow_staging_.empty();
@@ -380,7 +381,8 @@ class Simulator {
     return earlier(staging_min_, k) ? staging_min_ : k;
   }
   /// Fold the staging tail into the sorted run: one sort of the tail plus
-  /// one in-place merge, amortized O(log n) per staged event.
+  /// one in-place merge, amortized O(log n) per staged event.  Leaves the
+  /// tail empty and staging_min_ at its sentinel.
   void overflow_merge_staging();
   /// Park `a` in the action slab (recycling a freed index when one is
   /// available) and return its index.
@@ -404,8 +406,17 @@ class Simulator {
   /// Fire one event outside a batched drain, keeping fired_key_ (the
   /// lower bound of schedule_reserved()) at the last executed key.
   bool fire_single(const Event& ev);
+  /// The width policy shared by reanchor() and maybe_rebucket():
+  /// max(kGapsPerBucket mean execution gaps, the spread rule), with
+  /// `span` / `n` (a backlog's time span and population) standing in for
+  /// the mean gap before any execution history exists.
+  double fit_width(double span, std::size_t n) const noexcept;
+  /// Restart absolute bucket numbering at `origin` under `width`.
+  void anchor(Time origin, double width);
   /// Re-seat the ladder window at the overflow minimum and pull every
-  /// overflow event inside the new window into its bucket.
+  /// overflow event inside the new window into its bucket: one O(n)
+  /// partition of the staging tail, then the window prefix of the
+  /// sorted run.
   void reanchor();
   /// Geometry misfit check, run when the cursor enters a fresh bucket:
   /// if the width the anchor policy would pick *now* disagrees with the
@@ -421,16 +432,17 @@ class Simulator {
   /// e.g. a per-LP PDES kernel seeded with one event whose fallback
   /// width lands far from the real event gap.
   bool maybe_rebucket();
-  /// Empty `b` after its last event left.  A bucket whose storage grew
+  /// Empty ring slot `ring` after its last event left: clear its
+  /// occupancy bit and reset cur_head_.  A bucket whose storage grew
   /// past kRetainedCapacity (a burst of same-instant events -- a fan-out's
   /// timeouts all land in one bucket at any width) frees it instead of
   /// keeping it: the cursor sweeps every ring slot, so retained storage
   /// would grow to the largest burst any slot ever held.
-  void retire_bucket(Bucket& b);
+  void retire_bucket(std::size_t ring);
   /// Fire (or lazily discard) one popped event: the shared body of
   /// step() and the batched drain.  Returns true if the action executed.
   bool fire_event(const Event& ev);
-  /// Batched drain of the current (heapified) bucket: pop every event
+  /// Batched drain of the sorted cursor bucket: slice every event
   /// due by `until` and before the overflow head into scratch_, then
   /// fire the span, absorbing intruders in place.  Returns events
   /// executed.
@@ -443,8 +455,8 @@ class Simulator {
   }
 
   // Buckets are ordered *lazily*: a bucket is a plain append vector
-  // until the cursor reaches it (heapified_bucket_ tracks the one bucket
-  // currently kept ordered), so bulk pre-run scheduling is O(1) per
+  // until the cursor reaches it (sorted_bucket_ tracks the one bucket
+  // currently kept sorted), so bulk pre-run scheduling is O(1) per
   // event instead of O(log n).
   std::array<Bucket, kBucketCount> buckets_;
   /// One bit per ring bucket, set iff the bucket is nonempty; the cursor
@@ -465,15 +477,13 @@ class Simulator {
   std::size_t ladder_size_ = 0;  // events across all buckets
   std::size_t size_ = 0;         // ladder + overflow
   std::uint64_t cur_bucket_ = 0; // absolute bucket number of the cursor
-  std::uint64_t heapified_bucket_ = kNoBucket;  // abs number, or kNoBucket
-  /// When the cursor reaches a bucket it is *sorted* (not just
-  /// heapified); consumed events are a dead prefix tracked by cur_head_
-  /// instead of being erased.  Inserts that arrive in key order (the
-  /// common append pattern) keep the bucket sorted; an out-of-order
-  /// insert compacts the dead prefix and drops the bucket to plain heap
-  /// maintenance (sift_up/sift_down) for the rest of the visit.
-  bool cur_sorted_ = false;
-  std::size_t cur_head_ = 0;  // first live index of the sorted bucket
+  std::uint64_t sorted_bucket_ = kNoBucket;  // abs number, or kNoBucket
+  /// First live index of the sorted cursor bucket: consumed events are a
+  /// dead prefix instead of being erased.  Inserts that arrive in key
+  /// order (the common append pattern) append; an out-of-order insert
+  /// shifts into place after cur_head_.  0 whenever the cursor moves on,
+  /// since the cursor leaves a bucket only after retire_bucket().
+  std::size_t cur_head_ = 0;
   double origin_ = 0;            // time of absolute bucket 0
   double width_ = 0;             // bucket width; 0 = ladder not anchored
   double gap_ewma_ = 0;          // mean nonzero inter-execution gap

@@ -64,7 +64,9 @@ TEST(Traffic, DeterministicSortedAndInRange) {
     EXPECT_LT(a[i].t_ms, 20'000.0);
     EXPECT_LT(a[i].cls, cfg.classes.size());
     EXPECT_LT(a[i].origin, 4u);
-    if (i > 0) EXPECT_GE(a[i].t_ms, a[i - 1].t_ms);
+    if (i > 0) {
+      EXPECT_GE(a[i].t_ms, a[i - 1].t_ms);
+    }
   }
   // A different seed is a different stream.
   const auto c = generate_traffic(cfg, 20, 4, 43);
@@ -235,7 +237,9 @@ TEST(Wan, LinkTraceIsDeterministicAndReplays) {
     for (unsigned y = 0; y < cfg.regions; ++y) {
       EXPECT_EQ(a.link_up(x, y), b.link_up(x, y));
       any_down_seen = any_down_seen || !a.link_up(x, y);
-      if (x == y) EXPECT_TRUE(a.link_up(x, y));  // intra never fails
+      if (x == y) {
+        EXPECT_TRUE(a.link_up(x, y));  // intra never fails
+      }
     }
   }
   (void)any_down_seen;  // state at the final instant may be all-up
