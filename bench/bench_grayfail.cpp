@@ -37,8 +37,6 @@
 #include "cloud/cluster.hpp"
 #include "cloud/resilience.hpp"
 #include "core/report.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "reliab/gray.hpp"
 #include "util/thread_pool.hpp"
 
@@ -100,48 +98,14 @@ cloud::GrayfailPolicies ladder_knobs() {
   return knobs;
 }
 
-bool same_aggregate(const cloud::ClusterResult& a,
-                    const cloud::ClusterResult& b) {
-  return a.queries == b.queries && a.ok_queries == b.ok_queries &&
-         a.degraded_queries == b.degraded_queries &&
-         a.failed_queries == b.failed_queries && a.retries == b.retries &&
-         a.hedges == b.hedges && a.timeouts == b.timeouts &&
-         a.lost_requests == b.lost_requests &&
-         a.leaf_requests == b.leaf_requests &&
-         a.shed_queries == b.shed_queries &&
-         a.rejected_requests == b.rejected_requests &&
-         a.expired_drops == b.expired_drops &&
-         a.breaker_open_transitions == b.breaker_open_transitions &&
-         a.breaker_short_circuits == b.breaker_short_circuits &&
-         a.gray_episodes == b.gray_episodes &&
-         a.gray_dropped_replies == b.gray_dropped_replies &&
-         a.gray_evictions == b.gray_evictions &&
-         a.gray_probations == b.gray_probations &&
-         a.gray_zombies == b.gray_zombies &&
-         a.gray_redirected_sends == b.gray_redirected_sends &&
-         a.adaptive_deadline_ms == b.adaptive_deadline_ms &&
-         a.answered_per_window == b.answered_per_window &&
-         a.query_ms.count() == b.query_ms.count() &&
-         a.query_ms.quantile(0.5) == b.query_ms.quantile(0.5) &&
-         a.query_ms.quantile(0.99) == b.query_ms.quantile(0.99) &&
-         a.sum_result_quality == b.sum_result_quality &&
-         a.goodput_qps == b.goodput_qps;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string metrics_out, trace_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--metrics-out") == 0)
-      metrics_out = (i + 1 < argc) ? argv[++i] : "BENCH_grayfail_metrics.json";
-    if (std::strcmp(argv[i], "--trace-out") == 0)
-      trace_out = (i + 1 < argc) ? argv[++i] : "BENCH_grayfail_trace.json";
   }
-  auto& mreg = obs::MetricsRegistry::global();
-  if (!metrics_out.empty()) mreg.set_enabled(true);
+  const bench::ObsOutputs obs_out(argc, argv, "grayfail");
 
   const auto cfg = base_config(smoke);
   const auto knobs = ladder_knobs();
@@ -213,7 +177,7 @@ int main(int argc, char** argv) {
   const auto r1 = cloud::run_cluster_trials(check_cfg, trials, &p1);
   const auto r2 = cloud::run_cluster_trials(check_cfg, trials, &p2);
   const auto rn = cloud::run_cluster_trials(check_cfg, trials, &pool);
-  const bool identical = same_aggregate(r1, r2) && same_aggregate(r1, rn);
+  const bool identical = r1 == r2 && r1 == rn;
   std::cout << "determinism: pools {1, 2, " << pool.size() << "} -> "
             << (identical ? "bit-identical aggregates" : "MISMATCH") << "\n";
 
@@ -229,8 +193,7 @@ int main(int argc, char** argv) {
   tweaked_cfg.policy.gray = knobs.gray;
   tweaked_cfg.policy.gray.enabled = false;
   const auto r_tweaked = cloud::run_cluster_trials(tweaked_cfg, trials, &pool);
-  const bool disabled_identical =
-      same_aggregate(ladder.front().result, r_tweaked);
+  const bool disabled_identical = ladder.front().result == r_tweaked;
   std::cout << "disabled gray knobs: "
             << (disabled_identical ? "byte-identical to control"
                                    : "PERTURBED the control run")
@@ -288,27 +251,7 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::cout << "wrote BENCH_grayfail.json\n";
 
-  if (!metrics_out.empty()) {
-    const auto snap = mreg.snapshot();
-    std::ofstream mout(metrics_out);
-    mout << snap.to_json() << "\n";
-    std::cout << "\n" << core::render_metrics_report(snap) << "wrote "
-              << metrics_out << "\n";
-  }
-
-  if (!trace_out.empty()) {
-#if ARCH21_OBS_ENABLED
-    obs::TraceBuffer trace(std::size_t{1} << 18, 1e3);
-    auto traced_cfg = check_cfg;
-    traced_cfg.trace = &trace;
-    (void)cloud::simulate_cluster(traced_cfg);
-    std::ofstream tout(trace_out);
-    trace.write_chrome_json(tout);
-    std::cout << "wrote " << trace_out << " (" << trace.size() << " events, "
-              << trace.dropped() << " dropped)\n";
-#else
-    std::cout << "--trace-out ignored: built with ARCH21_OBS=OFF\n";
-#endif
-  }
+  obs_out.write_metrics();
+  obs_out.write_trace(check_cfg);  // one fully adaptive trial
   return (identical && claims_ok && disabled_identical) ? 0 : 1;
 }

@@ -128,45 +128,6 @@ cloud::MultiRegionConfig base_config(bool smoke) {
   return cfg;
 }
 
-bool same_aggregate(const cloud::MultiRegionResult& a,
-                    const cloud::MultiRegionResult& b) {
-  if (!(a.requests == b.requests && a.answered == b.answered &&
-        a.failed == b.failed && a.shed == b.shed &&
-        a.attempts == b.attempts && a.retries == b.retries &&
-        a.timeouts == b.timeouts && a.budget_denials == b.budget_denials &&
-        a.lost_requests == b.lost_requests &&
-        a.breaker_open_transitions == b.breaker_open_transitions &&
-        a.breaker_short_circuits == b.breaker_short_circuits &&
-        a.answered_per_window == b.answered_per_window &&
-        a.region_answered_per_window == b.region_answered_per_window &&
-        a.request_ms == b.request_ms && a.service_ms == b.service_ms &&
-        a.goodput_qps == b.goodput_qps)) {
-    return false;
-  }
-  if (a.regions.size() != b.regions.size() ||
-      a.classes.size() != b.classes.size()) {
-    return false;
-  }
-  for (std::size_t r = 0; r < a.regions.size(); ++r) {
-    const auto& x = a.regions[r];
-    const auto& y = b.regions[r];
-    if (!(x.routed == y.routed && x.capped == y.capped &&
-          x.rejected == y.rejected && x.expired == y.expired &&
-          x.completed == y.completed && x.lost == y.lost &&
-          x.evictions == y.evictions && x.readmissions == y.readmissions &&
-          x.busy_ms == y.busy_ms)) {
-      return false;
-    }
-  }
-  for (std::size_t c = 0; c < a.classes.size(); ++c) {
-    if (a.classes[c].answered != b.classes[c].answered ||
-        a.classes[c].slo_met != b.classes[c].slo_met) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -272,8 +233,7 @@ int main(int argc, char** argv) {
   const auto g1 = cloud::run_multiregion_trials(gray_cfg, trials, &p1);
   const auto g2 = cloud::run_multiregion_trials(gray_cfg, trials, &p2);
   const auto gn = cloud::run_multiregion_trials(gray_cfg, trials, &pool);
-  const bool identical = same_aggregate(r1, r2) && same_aggregate(r1, rn) &&
-                         same_aggregate(g1, g2) && same_aggregate(g1, gn);
+  const bool identical = r1 == r2 && r1 == rn && g1 == g2 && g1 == gn;
   std::cout << "determinism: pools {1, 2, " << pool.size()
             << "}, blackout + gray-out rungs -> "
             << (identical ? "bit-identical aggregates" : "MISMATCH") << "\n";

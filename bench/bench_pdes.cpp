@@ -89,7 +89,6 @@ double metered_mesh_efficiency(const des::PartitionSpec& spec,
 /// pdes.team.* counters it publishes; the registry is on only for this
 /// run, because it also records per-query samples.
 double metered_cluster_efficiency(const cloud::ClusterConfig& cfg) {
-#if ARCH21_OBS_ENABLED
   auto& m = obs::MetricsRegistry::global();
   m.reset();
   m.set_enabled(true);
@@ -102,10 +101,6 @@ double metered_cluster_efficiency(const cloud::ClusterConfig& cfg) {
   }
   m.reset();
   return efficiency(busy, wait);
-#else
-  (void)cfg;
-  return -1;
-#endif
 }
 
 template <typename Fn>
@@ -118,27 +113,6 @@ double best_seconds(int reps, Fn&& fn) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
-}
-
-/// Whole-result equality, the same contract tests/test_pdes.cpp pins:
-/// counters, FP aggregates, goodput series, and both histograms at the
-/// bit level.
-bool same_cluster_result(const cloud::ClusterResult& a,
-                         const cloud::ClusterResult& b) {
-  return a.queries == b.queries && a.ok_queries == b.ok_queries &&
-         a.degraded_queries == b.degraded_queries &&
-         a.failed_queries == b.failed_queries && a.query_ms == b.query_ms &&
-         a.leaf_ms == b.leaf_ms &&
-         a.mean_leaf_utilization == b.mean_leaf_utilization &&
-         a.leaf_requests == b.leaf_requests && a.retries == b.retries &&
-         a.hedges == b.hedges && a.timeouts == b.timeouts &&
-         a.lost_requests == b.lost_requests &&
-         a.rejected_requests == b.rejected_requests &&
-         a.expired_drops == b.expired_drops &&
-         a.answered_per_window == b.answered_per_window &&
-         a.sum_result_quality == b.sum_result_quality &&
-         a.goodput_qps == b.goodput_qps &&
-         a.frac_over_leaf_p99 == b.frac_over_leaf_p99;
 }
 
 }  // namespace
@@ -272,7 +246,7 @@ int main(int argc, char** argv) {
     r.seconds =
         best_seconds(reps, [&] { got = cloud::simulate_cluster(cfg); });
     r.events = got.leaf_requests;
-    r.identical = same_cluster_result(got, cluster_ref);
+    r.identical = got == cluster_ref;
     r.efficiency = metered_cluster_efficiency(cfg);
     rows.push_back(r);
   }

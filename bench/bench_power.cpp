@@ -69,30 +69,6 @@ cloud::ClusterConfig base_config(bool smoke) {
   return cfg;
 }
 
-bool same_aggregate(const cloud::ClusterResult& a,
-                    const cloud::ClusterResult& b) {
-  return a.queries == b.queries && a.ok_queries == b.ok_queries &&
-         a.degraded_queries == b.degraded_queries &&
-         a.failed_queries == b.failed_queries && a.retries == b.retries &&
-         a.timeouts == b.timeouts && a.lost_requests == b.lost_requests &&
-         a.leaf_requests == b.leaf_requests &&
-         a.shed_queries == b.shed_queries &&
-         a.answered_per_window == b.answered_per_window &&
-         a.query_ms.count() == b.query_ms.count() &&
-         a.query_ms.quantile(0.5) == b.query_ms.quantile(0.5) &&
-         a.query_ms.quantile(0.99) == b.query_ms.quantile(0.99) &&
-         a.goodput_qps == b.goodput_qps &&
-         // The power telemetry must replay bit-exactly too: charged
-         // joules are sums of deterministic per-job contracts, so ==
-         // (not near-equality) is the correct comparison.
-         a.power_shed_queries == b.power_shed_queries &&
-         a.power_gate_stalls == b.power_gate_stalls &&
-         a.power_overruns == b.power_overruns && a.energy_j == b.energy_j &&
-         a.peak_window_w == b.peak_window_w &&
-         a.power_cap_w == b.power_cap_w &&
-         a.energy_j_per_window == b.energy_j_per_window;
-}
-
 const cloud::ScenarioResult* find(
     const std::vector<cloud::ScenarioResult>& ladder,
     const std::string& name) {
@@ -189,7 +165,7 @@ int main(int argc, char** argv) {
   const auto r1 = cloud::run_cluster_trials(check_cfg, trials, &p1);
   const auto r2 = cloud::run_cluster_trials(check_cfg, trials, &p2);
   const auto rn = cloud::run_cluster_trials(check_cfg, trials, &pool);
-  const bool identical = same_aggregate(r1, r2) && same_aggregate(r1, rn);
+  const bool identical = r1 == r2 && r1 == rn;
   std::cout << "claim (c) determinism: pools {1, 2, " << pool.size()
             << "} -> "
             << (identical ? "bit-identical aggregates" : "MISMATCH") << "\n";

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -29,7 +28,6 @@
 #include "cloud/resilience.hpp"
 #include "core/report.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -52,23 +50,6 @@ cloud::ClusterConfig base_config() {
   return cfg;
 }
 
-bool same_aggregate(const cloud::ClusterResult& a,
-                    const cloud::ClusterResult& b) {
-  return a.queries == b.queries && a.ok_queries == b.ok_queries &&
-         a.degraded_queries == b.degraded_queries &&
-         a.failed_queries == b.failed_queries && a.retries == b.retries &&
-         a.hedges == b.hedges && a.timeouts == b.timeouts &&
-         a.lost_requests == b.lost_requests &&
-         a.leaf_requests == b.leaf_requests &&
-         a.query_ms.count() == b.query_ms.count() &&
-         a.query_ms.quantile(0.5) == b.query_ms.quantile(0.5) &&
-         a.query_ms.quantile(0.99) == b.query_ms.quantile(0.99) &&
-         a.sum_result_quality == b.sum_result_quality &&
-         a.goodput_qps == b.goodput_qps &&
-         a.availability_measured == b.availability_measured &&
-         a.retry_amplification == b.retry_amplification;
-}
-
 const cloud::ClusterResult* find(
     const std::vector<cloud::ScenarioResult>& ladder, const char* needle) {
   for (const auto& s : ladder) {
@@ -80,15 +61,7 @@ const cloud::ClusterResult* find(
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_out, trace_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-out") == 0)
-      metrics_out = (i + 1 < argc) ? argv[++i] : "BENCH_resilience_metrics.json";
-    if (std::strcmp(argv[i], "--trace-out") == 0)
-      trace_out = (i + 1 < argc) ? argv[++i] : "BENCH_resilience_trace.json";
-  }
-  auto& mreg = obs::MetricsRegistry::global();
-  if (!metrics_out.empty()) mreg.set_enabled(true);
+  const bench::ObsOutputs obs_out(argc, argv, "resilience");
 
   const auto cfg = base_config();
   const unsigned trials = 4;
@@ -146,7 +119,7 @@ int main(int argc, char** argv) {
   const auto r1 = cloud::run_cluster_trials(check_cfg, trials, &p1);
   const auto r2 = cloud::run_cluster_trials(check_cfg, trials, &p2);
   const auto rn = cloud::run_cluster_trials(check_cfg, trials, &pool);
-  const bool identical = same_aggregate(r1, r2) && same_aggregate(r1, rn);
+  const bool identical = r1 == r2 && r1 == rn;
   std::cout << "determinism: pools {1, 2, " << pool.size() << "} -> "
             << (identical ? "bit-identical aggregates" : "MISMATCH") << "\n";
 
@@ -179,10 +152,11 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::cout << "wrote BENCH_resilience.json\n";
 
-  if (!metrics_out.empty()) {
+  if (!obs_out.metrics_out.empty()) {
     // Thread-pool counters are kept unconditionally (plain fields under
     // the pool's own mutex); publish them into the registry as gauges so
     // they land in the same snapshot as the cluster metrics.
+    auto& mreg = obs::MetricsRegistry::global();
     const auto ps = pool.stats();
     mreg.gauge_max(mreg.gauge("pool.submitted"),
                    static_cast<double>(ps.submitted));
@@ -191,28 +165,8 @@ int main(int argc, char** argv) {
     mreg.gauge_max(mreg.gauge("pool.steals"), static_cast<double>(ps.steals));
     mreg.gauge_max(mreg.gauge("pool.max_queue_depth"),
                    static_cast<double>(ps.max_queue_depth));
-    const auto snap = mreg.snapshot();
-    std::ofstream mout(metrics_out);
-    mout << snap.to_json() << "\n";
-    std::cout << "\n" << core::render_metrics_report(snap) << "wrote "
-              << metrics_out << "\n";
   }
-
-  if (!trace_out.empty()) {
-#if ARCH21_OBS_ENABLED
-    // One traced trial of the full mitigation stack: ms timestamps, so
-    // ts_to_us = 1e3; the ring keeps the most recent 256k records.
-    obs::TraceBuffer trace(std::size_t{1} << 18, 1e3);
-    auto traced_cfg = check_cfg;
-    traced_cfg.trace = &trace;
-    (void)cloud::simulate_cluster(traced_cfg);
-    std::ofstream tout(trace_out);
-    trace.write_chrome_json(tout);
-    std::cout << "wrote " << trace_out << " (" << trace.size() << " events, "
-              << trace.dropped() << " dropped)\n";
-#else
-    std::cout << "--trace-out ignored: built with ARCH21_OBS=OFF\n";
-#endif
-  }
+  obs_out.write_metrics();
+  obs_out.write_trace(check_cfg);  // one trial of the full mitigation stack
   return identical ? 0 : 1;
 }

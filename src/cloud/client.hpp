@@ -40,18 +40,13 @@
 #include "cloud/gray_detect.hpp"
 #include "cloud/policy.hpp"
 #include "des/simulator.hpp"
-#include "obs/enabled.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "util/slab.hpp"
 
-#if ARCH21_OBS_ENABLED
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#endif
-
 namespace arch21::cloud {
 
-#if ARCH21_OBS_ENABLED
 /// The des.* counters of one trial's kernel: a des::Simulator, or a PDES
 /// engine summing its LP kernels.
 template <typename Kernel>
@@ -62,7 +57,6 @@ void publish_kernel_metrics(obs::MetricsRegistry& m, const Kernel& k) {
   m.add(m.counter("des.refit_moves"), k.refit_moves());
   m.add(m.counter("des.spliced"), k.spliced());
 }
-#endif
 
 /// Token bucket refilled continuously over simulated milliseconds:
 /// `rate_per_s` tokens per second up to `burst`, starting full.
@@ -224,7 +218,6 @@ class BreakerBank {
   /// Summed per-replica milliseconds spent open.
   double open_ms() const noexcept { return open_ms_; }
 
-#if ARCH21_OBS_ENABLED
   /// Emit breaker-open / -half-open / -close instants on track 0.
   void attach_trace(obs::TraceBuffer* t) {
     trace_ = t;
@@ -232,7 +225,6 @@ class BreakerBank {
     tr_half_ = t->intern("breaker-half-open");
     tr_close_ = t->intern("breaker-close");
   }
-#endif
 
  private:
   struct Breaker {
@@ -257,11 +249,8 @@ class BreakerBank {
     mark(tr_open_, now);
   }
 
-  void mark([[maybe_unused]] std::uint32_t name,
-            [[maybe_unused]] double now) {
-#if ARCH21_OBS_ENABLED
+  void mark(std::uint32_t name, double now) {
     if (trace_) trace_->instant(name, now, 0);
-#endif
   }
 
   CircuitBreakerPolicy pol_;
@@ -271,9 +260,7 @@ class BreakerBank {
   std::uint64_t probes_ = 0;
   double open_ms_ = 0;
   std::uint32_t tr_open_ = 0, tr_half_ = 0, tr_close_ = 0;
-#if ARCH21_OBS_ENABLED
   obs::TraceBuffer* trace_ = nullptr;
-#endif
 };
 
 /// The cluster root's client engine (see the file comment).  Per-query
@@ -293,11 +280,9 @@ class ClusterClient {
     double start_ms = 0;
     bool closed = false;
     des::EventHandle deadline{};
-#if ARCH21_OBS_ENABLED
     /// Monotone per-trial serial keying the query's async trace span
     /// (slab handles recycle, so they cannot key overlapping spans).
     std::uint64_t trace_serial = 0;
-#endif
   };
   struct CallRec {
     bool done = false;
@@ -380,14 +365,12 @@ class ClusterClient {
           static_cast<std::size_t>(horizon_ms_ / window_ms_) + 4);
     }
     breakers_.init(pol_.breaker, cfg_.leaves, cfg_.seed);
-#if ARCH21_OBS_ENABLED
     auto& mreg = obs::MetricsRegistry::global();
     if (mreg.enabled()) {
       mreg_ = &mreg;
       // Same layout as ClusterResult::query_ms so quantiles agree.
       m_query_ms_ = mreg.timer("cluster.query_ms", 1e-2, 1e5, 90);
     }
-#endif
   }
 
   /// Arm the gray detector and schedule its eval cadence on the root.
@@ -448,12 +431,10 @@ class ClusterClient {
     QueryRef q(Adopt{}, this, queries_.acquire());
     q->start_ms = csim().now();
     ++started_;
-#if ARCH21_OBS_ENABLED
     if (trace_) {
       q->trace_serial = started_;
       trace_->async_begin(tr_query_, q->trace_serial, csim().now());
     }
-#endif
     if (pol_.quorum.enabled()) {
       q->deadline = csim().schedule_cancellable(
           pol_.quorum.deadline_ms, [this, q] { on_deadline(q); });
@@ -569,13 +550,11 @@ class ClusterClient {
       res_.sum_result_quality += 1.0;
       res_.query_ms.add(lat);
       note_answered();
-#if ARCH21_OBS_ENABLED
       if (mreg_) mreg_->record(m_query_ms_, lat);
       if (trace_) {
         trace_->async_end(tr_query_, q->trace_serial, csim().now(),
                           tr_quality_arg_, 1.0);
       }
-#endif
     }
   }
 
@@ -609,21 +588,17 @@ class ClusterClient {
       res_.sum_result_quality += quality;
       res_.query_ms.add(csim().now() - q->start_ms);
       note_answered();
-#if ARCH21_OBS_ENABLED
       if (mreg_) mreg_->record(m_query_ms_, csim().now() - q->start_ms);
       if (trace_) {
         trace_->async_end(tr_query_, q->trace_serial, csim().now(),
                           tr_quality_arg_, quality);
       }
-#endif
     } else {
       ++res_.failed_queries;
-#if ARCH21_OBS_ENABLED
       if (trace_) {
         trace_->async_end(tr_query_, q->trace_serial, csim().now(),
                           tr_quality_arg_, 0.0);
       }
-#endif
     }
   }
 
@@ -673,10 +648,8 @@ class ClusterClient {
   }
 
   /// Emit a client lifecycle instant on track 0.
-  void mark([[maybe_unused]] std::uint32_t name) {
-#if ARCH21_OBS_ENABLED
+  void mark(std::uint32_t name) {
     if (trace_) trace_->instant(name, csim().now(), 0);
-#endif
   }
 
   // --------------------------------------------------------- epilogue
@@ -719,7 +692,6 @@ class ClusterClient {
         res_.query_ms.fraction_above(res_.leaf_ms.quantile(0.99));
   }
 
-#if ARCH21_OBS_ENABLED
   /// Intern the client's trace markers; the engine names its tracks.
   void attach_client_trace(obs::TraceBuffer* t) {
     trace_ = t;
@@ -762,7 +734,6 @@ class ClusterClient {
     m.gauge_max(m.gauge("slab.calls.hwm"),
                 static_cast<double>(calls_.high_water()));
   }
-#endif
 
   const ClusterConfig& cfg_;
   const ResiliencePolicy& pol_;
@@ -789,11 +760,9 @@ class ClusterClient {
                 tr_lost_ = 0, tr_denied_ = 0, tr_deadline_ = 0,
                 tr_quality_arg_ = 0, tr_shed_ = 0, tr_rejected_ = 0,
                 tr_brk_short_ = 0;
-#if ARCH21_OBS_ENABLED
   obs::TraceBuffer* trace_ = nullptr;
   obs::MetricsRegistry* mreg_ = nullptr;  // set iff enabled at trial start
   obs::MetricsRegistry::MetricId m_query_ms_ = 0;
-#endif
 
  private:
   /// Drop one reference to a call record; when it was the last, also drop

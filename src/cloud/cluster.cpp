@@ -135,13 +135,11 @@ void ClusterConfig::validate() const {
   if (leaf_groups > leaves) {
     bad("ClusterConfig", "leaf_groups must be <= leaves");
   }
-#if ARCH21_OBS_ENABLED
   if (trace != nullptr && workers > 1) {
     // The trace ring is single-writer; with one worker the parallel
     // engine runs LP phases sequentially, so one ring still works.
     bad("ClusterConfig", "trace requires workers <= 1");
   }
-#endif
   faults.validate();
   if (faults.burst_leaves > leaves) {
     bad("ClusterFaultConfig", "burst_leaves must be <= leaves");

@@ -32,17 +32,14 @@
 #include "cloud/policy.hpp"
 #include "cloud/powercap.hpp"
 #include "des/resource.hpp"
-#include "obs/enabled.hpp"
 #include "reliab/availability.hpp"
 #include "reliab/gray.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 
-#if ARCH21_OBS_ENABLED
 namespace arch21::obs {
 class TraceBuffer;
 }
-#endif
 
 namespace arch21::cloud {
 
@@ -193,7 +190,6 @@ struct ClusterConfig {
   /// no home on a sharded engine).  Disabled, results are byte-identical
   /// to pre-powercap builds.
   PowercapConfig powercap;
-#if ARCH21_OBS_ENABLED
   /// Observability trace sink for ONE simulation (timestamps are ms, so
   /// construct it with ts_to_us = 1e3).  The DES kernel, every leaf
   /// Resource, and the query lifecycle emit into it: track 0 carries
@@ -205,7 +201,6 @@ struct ClusterConfig {
   /// run_cluster_trials(): a single ring cannot absorb concurrent
   /// trials.
   obs::TraceBuffer* trace = nullptr;
-#endif
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;
@@ -320,6 +315,10 @@ struct ClusterResult {
   /// (weighted by trial counts), and frac_over_leaf_p99 is recomputed
   /// from the merged histograms.
   void merge(const ClusterResult& other);
+
+  /// Every field, bit for bit (histograms included): the determinism
+  /// contract the pool-size, engine and loopback gates check.
+  bool operator==(const ClusterResult&) const = default;
 };
 
 /// Run one cluster simulation.  net_latency_ms picks the engine and with

@@ -65,14 +65,11 @@
 #include "des/pdes.hpp"
 #include "des/resource.hpp"
 #include "des/simulator.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "reliab/failure_trace.hpp"
 #include "reliab/gray.hpp"
 #include "util/thread_pool.hpp"
-
-#if ARCH21_OBS_ENABLED
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#endif
 
 namespace arch21::cloud {
 
@@ -180,9 +177,7 @@ class ClusterScenario : public ClusterClient<ClusterScenario<Engine>> {
   using Client::res_;
   using Client::tr_lost_;
   using Client::tr_rejected_;
-#if ARCH21_OBS_ENABLED
   using Client::trace_;
-#endif
 
  public:
   /// Extra arguments construct the engine in place (LoopbackEngine takes
@@ -255,9 +250,7 @@ class ClusterScenario : public ClusterClient<ClusterScenario<Engine>> {
       // The request vanishes into a dead leaf; only the root's timeout
       // (or the query deadline) will tell the client.
       ++grp.lost;
-#if ARCH21_OBS_ENABLED
       if (trace_) trace_->instant(tr_lost_, lp.now(), grp.trace_tid);
-#endif
       return;
     }
     LpT* lpp = &lp;
@@ -276,9 +269,7 @@ class ClusterScenario : public ClusterClient<ClusterScenario<Engine>> {
       rej.u32 = leaf;
       rej.a = serial;
       lp.send(0, cfg_.net_latency_ms, rej);
-#if ARCH21_OBS_ENABLED
       if (trace_) trace_->instant(tr_rejected_, lp.now(), grp.trace_tid);
-#endif
     }
   }
 
@@ -447,7 +438,6 @@ class ClusterScenario : public ClusterClient<ClusterScenario<Engine>> {
     CallRef drop(Adopt{}, this, h);  // release the table's reference
   }
 
-#if ARCH21_OBS_ENABLED
   /// One trace ring is single-writer, so attaching requires workers <= 1
   /// (enforced by ClusterConfig::validate).  Track map: 0 = root kernel
   /// + client lifecycle markers, 1 + l = leaf l's serve spans (each leaf
@@ -501,7 +491,6 @@ class ClusterScenario : public ClusterClient<ClusterScenario<Engine>> {
       eng_.publish_metrics();  // pdes.window.* / pdes.mailbox.*
     }
   }
-#endif
 
   unsigned groups_ = 0;
   Engine eng_;
@@ -703,9 +692,7 @@ ClusterResult ClusterScenario<Engine>::run() {
                   2 * cfg_.leaves + 64);
   }
   this->init_client();
-#if ARCH21_OBS_ENABLED
   if (cfg_.trace) attach_trace(cfg_.trace);
-#endif
 
   // --- injection, in the one setup order (see the file comment) ---
   if constexpr (kDirect<Engine>) schedule_powercap();
@@ -773,9 +760,7 @@ ClusterResult ClusterScenario<Engine>::run() {
     res_.energy_j_per_window = ps.energy_j_per_window;
   }
   this->finish_client(end, util);
-#if ARCH21_OBS_ENABLED
   publish_metrics();
-#endif
   return std::move(res_);
 }
 

@@ -5,10 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/enabled.hpp"
-#if ARCH21_OBS_ENABLED
 #include "obs/metrics.hpp"
-#endif
 
 namespace arch21::cloud {
 
@@ -29,7 +26,6 @@ double RetryPolicy::backoff_ms(unsigned retry_index, Rng& rng) const {
   // range leaves delays within rounding of zero).
   const double delay =
       std::max(0.0, base * (1.0 + jitter_frac * rng.uniform(-1.0, 1.0)));
-#if ARCH21_OBS_ENABLED
   auto& m = obs::MetricsRegistry::global();
   if (m.enabled()) {
     // Registration is idempotent; the id lookup is mutex-protected but
@@ -37,7 +33,6 @@ double RetryPolicy::backoff_ms(unsigned retry_index, Rng& rng) const {
     // off the per-request hot path.
     m.record(m.timer("policy.backoff_ms", 1e-2, 1e5, 30), delay);
   }
-#endif
   return delay;
 }
 

@@ -390,10 +390,8 @@ class MultiRegionSim {
     // Probes and WAN events end at the horizon; requests resolve via
     // timeouts, so the queue drains on its own.
     sim_.run();
-#if ARCH21_OBS_ENABLED
     auto& m = obs::MetricsRegistry::global();
     if (m.enabled()) publish_kernel_metrics(m, sim_);
-#endif
 
     for (std::size_t r = 0; r < stations_.size(); ++r) {
       RegionStats& s = res_.regions[r];
@@ -843,23 +841,16 @@ RegionalHysteresis multiregion_hysteresis(const MultiRegionResult& r,
     }
     return sum;
   };
-  const double per_win = w * static_cast<double>(std::max(r.trials, 1u));
 
   // Complete windows strictly before the disruption; window 0 is warmup.
-  const auto pre_end = static_cast<std::size_t>(ev_start / w);
-  double sum = 0;
-  std::size_t n = 0;
-  for (std::size_t i = 1; i < pre_end; ++i, ++n) sum += count(i);
-  if (n > 0) h.pre_qps = sum / (static_cast<double>(n) * per_win);
-
+  h.pre_qps = windowed_mean_qps(1, static_cast<std::size_t>(ev_start / w), w,
+                                r.trials, count);
   // Complete windows inside the horizon, after the disruption plus settle.
   const auto post_begin = static_cast<std::size_t>(
       std::ceil((ev_start + ev_duration + settle_s) / w));
-  const auto post_end = static_cast<std::size_t>(cfg.duration_s / w);
-  sum = 0;
-  n = 0;
-  for (std::size_t i = post_begin; i < post_end; ++i, ++n) sum += count(i);
-  if (n > 0) h.post_qps = sum / (static_cast<double>(n) * per_win);
+  h.post_qps = windowed_mean_qps(
+      post_begin, static_cast<std::size_t>(cfg.duration_s / w), w, r.trials,
+      count);
   return h;
 }
 

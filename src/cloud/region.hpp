@@ -208,12 +208,16 @@ struct RegionStats {
   std::uint64_t readmissions = 0;
   double busy_ms = 0;          ///< server-ms of rendered service
   double utilization = 0;      ///< busy / (horizon x servers), per-trial avg
+
+  bool operator==(const RegionStats&) const = default;
 };
 
 /// Per-traffic-class telemetry.
 struct ClassStats {
   std::uint64_t answered = 0;
   std::uint64_t slo_met = 0;  ///< answered within the class SLO
+
+  bool operator==(const ClassStats&) const = default;
 };
 
 /// Simulation output.  Counters are raw so multi-trial aggregates can
@@ -258,6 +262,9 @@ struct MultiRegionResult {
   /// element-wise (after the window/shape checks), per-trial ratios
   /// average weighted by trial counts.
   void merge(const MultiRegionResult& other);
+
+  /// Every field, bit for bit: the pool-size determinism contract.
+  bool operator==(const MultiRegionResult&) const = default;
 };
 
 /// Run one seeded multi-region simulation.

@@ -1,6 +1,5 @@
 #include "cloud/resilience.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -21,7 +20,6 @@ ClusterResult run_cluster_trials(const ClusterConfig& cfg, unsigned trials,
         "run_cluster_trials: cfg.workers must be 0 (trials are the "
         "parallelism axis here)");
   }
-#if ARCH21_OBS_ENABLED
   if (cfg.trace) {
     // One TraceBuffer cannot absorb trials running concurrently on the
     // pool (the ring is single-writer); trace a single simulate_cluster()
@@ -30,7 +28,6 @@ ClusterResult run_cluster_trials(const ClusterConfig& cfg, unsigned trials,
         "run_cluster_trials: cfg.trace is only valid for a single "
         "simulate_cluster() run");
   }
-#endif
   return run_trials(cfg, trials, pool, simulate_cluster);
 }
 
@@ -252,22 +249,25 @@ std::vector<ScenarioResult> power_scenarios(const ClusterConfig& base,
   return out;
 }
 
+namespace {
+
+/// answered_per_window as a window -> count callable for
+/// windowed_mean_qps; windows past the recorded series count as zeros.
+auto answered_count(const ClusterResult& r) {
+  return [&win = r.answered_per_window](std::size_t i) {
+    return i < win.size() ? static_cast<double>(win[i]) : 0.0;
+  };
+}
+
+}  // namespace
+
 GrayContainment gray_containment(const ClusterResult& r,
                                  const ClusterConfig& cfg, double settle_s) {
   GrayContainment c;
   const double w = cfg.goodput_window_s;
   if (w <= 0 || !cfg.gray.burst_enabled()) return c;
-  const auto& win = r.answered_per_window;
-  auto count = [&](std::size_t i) {
-    return i < win.size() ? static_cast<double>(win[i]) : 0.0;
-  };
-  const double per_win =
-      w * static_cast<double>(std::max(r.trials, 1u));  // -> qps per trial
   auto mean_over = [&](std::size_t begin, std::size_t end) {
-    double sum = 0;
-    std::size_t n = 0;
-    for (std::size_t i = begin; i < end; ++i, ++n) sum += count(i);
-    return n > 0 ? sum / (static_cast<double>(n) * per_win) : 0.0;
+    return windowed_mean_qps(begin, end, w, r.trials, answered_count(r));
   };
 
   const double t0 = cfg.gray.burst_start_s;
@@ -293,31 +293,20 @@ GoodputHysteresis goodput_hysteresis(const ClusterResult& r,
   GoodputHysteresis h;
   const double w = cfg.goodput_window_s;
   if (w <= 0 || !cfg.faults.burst_enabled()) return h;
-  const auto& win = r.answered_per_window;
-  auto count = [&](std::size_t i) {
-    return i < win.size() ? static_cast<double>(win[i]) : 0.0;
-  };
-  const double per_win =
-      w * static_cast<double>(std::max(r.trials, 1u));  // -> qps per trial
+  const auto count = answered_count(r);
 
   // Complete windows strictly before the burst; window 0 is warmup.
-  const auto pre_end =
-      static_cast<std::size_t>(cfg.faults.burst_start_s / w);
-  double sum = 0;
-  std::size_t n = 0;
-  for (std::size_t i = 1; i < pre_end; ++i, ++n) sum += count(i);
-  if (n > 0) h.pre_qps = sum / (static_cast<double>(n) * per_win);
-
+  h.pre_qps = windowed_mean_qps(
+      1, static_cast<std::size_t>(cfg.faults.burst_start_s / w), w, r.trials,
+      count);
   // Complete windows inside the horizon, after the burst plus settle.
   const auto post_begin = static_cast<std::size_t>(
       std::ceil((cfg.faults.burst_start_s + cfg.faults.burst_duration_s +
                  settle_s) /
                 w));
-  const auto post_end = static_cast<std::size_t>(cfg.duration_s / w);
-  sum = 0;
-  n = 0;
-  for (std::size_t i = post_begin; i < post_end; ++i, ++n) sum += count(i);
-  if (n > 0) h.post_qps = sum / (static_cast<double>(n) * per_win);
+  h.post_qps = windowed_mean_qps(
+      post_begin, static_cast<std::size_t>(cfg.duration_s / w), w, r.trials,
+      count);
   return h;
 }
 

@@ -4,6 +4,7 @@
 // single sample path, so experiments fold many independently reseeded
 // trials into one result.
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <utility>
@@ -51,6 +52,20 @@ Result run_trials(const Config& cfg, unsigned trials, ThreadPool* pool,
         acc.merge(chunk);
         return acc;
       });
+}
+
+/// Mean answered queries per second per trial over the goodput windows
+/// [begin, end) of width `window_s`, where `count(i)` is window i's
+/// answered count summed over `trials` runs (the caller decides what a
+/// window past the recorded series counts as).  0 for an empty range.
+template <class Count>
+double windowed_mean_qps(std::size_t begin, std::size_t end, double window_s,
+                         unsigned trials, const Count& count) {
+  double sum = 0;
+  std::size_t n = 0;
+  for (std::size_t i = begin; i < end; ++i, ++n) sum += count(i);
+  const double per_win = window_s * static_cast<double>(std::max(trials, 1u));
+  return n > 0 ? sum / (static_cast<double>(n) * per_win) : 0.0;
 }
 
 }  // namespace arch21::cloud

@@ -11,9 +11,7 @@
 #include <sched.h>
 #endif
 
-#if ARCH21_OBS_ENABLED
 #include "obs/metrics.hpp"
-#endif
 
 namespace arch21::des {
 
@@ -313,7 +311,6 @@ std::uint64_t ParallelEngine::spliced() const {
   return sum_kernels([](const Simulator& s) { return s.spliced(); });
 }
 
-#if ARCH21_OBS_ENABLED
 void ParallelEngine::publish_metrics() const {
   auto& m = obs::MetricsRegistry::global();
   if (!m.enabled()) return;
@@ -328,7 +325,6 @@ void ParallelEngine::publish_metrics() const {
     m.add(m.counter("pdes.team.wait_ns"), t.t.wait_ns);
   }
 }
-#endif
 
 // ------------------------------------------------------- LoopbackEngine
 

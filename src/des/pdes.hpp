@@ -132,14 +132,12 @@ class ParallelEngine {
   std::uint64_t refit_moves() const;
   std::uint64_t spliced() const;
 
-#if ARCH21_OBS_ENABLED
   /// Publish run counters into the global metrics registry
   /// (pdes.window.count, pdes.mailbox.sent / .committed /
   /// .max_pending), all integers folded from barrier state and so
   /// identical at any worker count, plus the team's host-timed totals
   /// (pdes.team.busy_ns / .wait_ns), which are not.
   void publish_metrics() const;
-#endif
 
  private:
   friend class Lp;

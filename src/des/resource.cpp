@@ -5,9 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#if ARCH21_OBS_ENABLED
 #include "obs/trace.hpp"
-#endif
 
 namespace arch21::des {
 
@@ -21,7 +19,6 @@ void QueuePolicy::validate() const {
   }
 }
 
-#if ARCH21_OBS_ENABLED
 void Resource::set_trace(obs::TraceBuffer* t, std::uint32_t base_tid) {
   trace_ = t;
   trace_base_tid_ = base_tid;
@@ -31,7 +28,6 @@ void Resource::set_trace(obs::TraceBuffer* t, std::uint32_t base_tid) {
     tr_kill_arg_ = t->intern("killed");
   }
 }
-#endif
 
 Resource::Resource(Simulator& sim, std::uint32_t servers)
     : Resource(sim, servers, QueuePolicy{}) {}
@@ -196,12 +192,10 @@ void Resource::on_complete(std::uint32_t slot, std::uint64_t epoch) {
   sojourn_stats_.add(s.wait + s.service);
   auto done = std::move(s.on_done);
   s.on_done = nullptr;
-#if ARCH21_OBS_ENABLED
   if (trace_) {
     trace_->complete(tr_serve_, s.start, s.service, trace_base_tid_ + slot,
                      tr_wait_arg_, s.wait);
   }
-#endif
   if (done) done(s.wait, s.wait + s.service);
   if (waiting_count_ > 0 && busy_ < servers_) {
     start_next();
@@ -220,7 +214,6 @@ std::size_t Resource::fail_all() {
     // Refund the service this job will never receive; the stale
     // completion event sees a cleared slot and does nothing.
     busy_time_ -= (s.start + s.service) - sim_.now();
-#if ARCH21_OBS_ENABLED
     if (trace_) {
       // Truncated span: only the service actually rendered before the
       // crash, flagged "killed" so aborted work is visually distinct.
@@ -229,7 +222,6 @@ std::size_t Resource::fail_all() {
       trace_->complete(tr_serve_, s.start, sim_.now() - s.start,
                        trace_base_tid_ + slot_idx, tr_kill_arg_, 1.0);
     }
-#endif
     s.active = false;
     s.on_done = nullptr;
     --busy_;

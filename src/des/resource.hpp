@@ -31,15 +31,12 @@
 #include <vector>
 
 #include "des/simulator.hpp"
-#include "obs/enabled.hpp"
 #include "util/inline_function.hpp"
 #include "util/stats.hpp"
 
-#if ARCH21_OBS_ENABLED
 namespace arch21::obs {
 class TraceBuffer;
 }
-#endif
 
 namespace arch21::des {
 
@@ -162,7 +159,6 @@ class Resource {
   /// Total busy server-seconds (for utilization = busy_time / (T*servers)).
   double busy_time() const noexcept { return busy_time_; }
 
-#if ARCH21_OBS_ENABLED
   /// Attach an observability trace: each completed job emits a "serve"
   /// complete-span on track `base_tid + server_slot` (so spans on one
   /// track never overlap and nest cleanly in Perfetto), annotated with
@@ -170,7 +166,6 @@ class Resource {
   /// truncated span annotated "killed".  Read-only -- never perturbs
   /// scheduling, accounting, or results.  nullptr detaches.
   void set_trace(obs::TraceBuffer* t, std::uint32_t base_tid);
-#endif
 
  private:
   struct Job {
@@ -245,13 +240,11 @@ class Resource {
   bool stalled_ = false;
   std::uint64_t gate_stalls_ = 0;
 
-#if ARCH21_OBS_ENABLED
   obs::TraceBuffer* trace_ = nullptr;
   std::uint32_t trace_base_tid_ = 0;
   std::uint32_t tr_serve_ = 0;     // interned "serve"
   std::uint32_t tr_wait_arg_ = 0;  // interned "wait"
   std::uint32_t tr_kill_arg_ = 0;  // interned "killed"
-#endif
 };
 
 }  // namespace arch21::des

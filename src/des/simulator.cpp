@@ -5,13 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
-#if ARCH21_OBS_ENABLED
 #include "obs/trace.hpp"
-#endif
 
 namespace arch21::des {
 
-#if ARCH21_OBS_ENABLED
 void Simulator::set_trace(obs::TraceBuffer* t, std::uint32_t tid) {
   trace_ = t;
   trace_tid_ = tid;
@@ -22,7 +19,6 @@ void Simulator::set_trace(obs::TraceBuffer* t, std::uint32_t tid) {
     tr_moves_ = t->intern("moves");
   }
 }
-#endif
 
 // ------------------------------------------------------- bucket storage
 //
@@ -46,9 +42,7 @@ void Simulator::purge_cancelled(Bucket& b) {
       actions_[b.refs[i].act] = Action{};
       free_actions_.push_back(b.refs[i].act);
       ++cancelled_;
-#if ARCH21_OBS_ENABLED
       if (trace_) trace_->instant(tr_discard_, b.keys[i].t, trace_tid_);
-#endif
       continue;
     }
     if (keep != i) {
@@ -334,12 +328,10 @@ bool Simulator::maybe_rebucket() {
   }
   ++refits_;
   refit_moves_ += sort_buf_.size();
-#if ARCH21_OBS_ENABLED
   if (trace_) {
     trace_->instant(tr_refit_, now_, trace_tid_, tr_moves_,
                     static_cast<double>(sort_buf_.size()));
   }
-#endif
   sort_buf_.clear();
   return true;
 }
@@ -562,17 +554,13 @@ bool Simulator::fire_event(const Event& ev) {
       actions_[ev.act] = Action{};
       free_actions_.push_back(ev.act);
       ++cancelled_;
-#if ARCH21_OBS_ENABLED
       if (trace_) trace_->instant(tr_discard_, ev.t, trace_tid_);
-#endif
       return false;
     }
   }
   now_ = ev.t;
   ++executed_;
-#if ARCH21_OBS_ENABLED
   if (trace_) trace_->instant(tr_fire_, ev.t, trace_tid_);
-#endif
   // Feed the ladder-width estimator (nonzero gaps only: simultaneous
   // events share a bucket regardless of width): a running mean that
   // becomes an EWMA over about the last kGapWindow gaps.

@@ -70,14 +70,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/enabled.hpp"
 #include "util/inline_function.hpp"
 
-#if ARCH21_OBS_ENABLED
 namespace arch21::obs {
 class TraceBuffer;
 }
-#endif
 
 namespace arch21::des {
 
@@ -246,7 +243,6 @@ class Simulator {
 
   static constexpr Time kForever = 1e300;
 
-#if ARCH21_OBS_ENABLED
   /// Attach an observability trace: every executed event emits a
   /// "des.fire" instant and every lazily-discarded cancelled event a
   /// "des.discard" instant on track `tid` of `t` (timestamps in
@@ -255,9 +251,8 @@ class Simulator {
   /// kernel its own track so per-LP event streams stay separable in the
   /// Chrome trace.  The hook is read-only -- it can never change event
   /// order or simulation results -- and costs one pointer test per event
-  /// while detached.  Compiled out under -DARCH21_OBS=OFF.
+  /// while detached.
   void set_trace(obs::TraceBuffer* t, std::uint32_t tid = 0);
-#endif
 
  private:
   /// 16-byte key lane entry: everything a comparison needs.  Keys are
@@ -535,14 +530,12 @@ class Simulator {
   std::uint64_t refit_moves_ = 0;
   std::uint64_t spliced_ = 0;
 
-#if ARCH21_OBS_ENABLED
   obs::TraceBuffer* trace_ = nullptr;
   std::uint32_t trace_tid_ = 0;   // track carrying this kernel's instants
   std::uint32_t tr_fire_ = 0;     // interned "des.fire"
   std::uint32_t tr_discard_ = 0;  // interned "des.discard"
   std::uint32_t tr_refit_ = 0;    // interned "des.refit"
   std::uint32_t tr_moves_ = 0;    // interned "moves" (des.refit's arg)
-#endif
 };
 
 }  // namespace arch21::des

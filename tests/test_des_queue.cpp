@@ -20,12 +20,8 @@
 #include "des/reference_heap.hpp"
 #include "des/simulator.hpp"
 #include "des/workload.hpp"
-#include "obs/enabled.hpp"
-#include "util/rng.hpp"
-
-#if ARCH21_OBS_ENABLED
 #include "obs/trace.hpp"
-#endif
+#include "util/rng.hpp"
 
 namespace arch21::des {
 namespace {
@@ -90,10 +86,8 @@ TEST(DesQueueRefit, ThrashShapeMatchesReferenceAndBoundsMoves) {
 TEST(DesQueueRefit, OneEventSeedRefitsToTheStreamGap) {
   constexpr double kGap = 1e-3;
   Simulator sim;
-#if ARCH21_OBS_ENABLED
   obs::TraceBuffer trace(std::size_t{1} << 16);
   sim.set_trace(&trace);
-#endif
   Rng rng(5);
   std::uint32_t left = 20'000;
   std::function<void()> next = [&] {
@@ -106,7 +100,6 @@ TEST(DesQueueRefit, OneEventSeedRefitsToTheStreamGap) {
   EXPECT_LE(sim.refit_moves(), sim.executed());
   EXPECT_GE(sim.bucket_width(), 1.0 * kGap);
   EXPECT_LE(sim.bucket_width(), 16.0 * kGap);
-#if ARCH21_OBS_ENABLED
   // One des.refit instant per re-fit.
   ASSERT_EQ(trace.dropped(), 0u);
   const std::string json = trace.chrome_json();
@@ -117,7 +110,6 @@ TEST(DesQueueRefit, OneEventSeedRefitsToTheStreamGap) {
     ++instants;
   }
   EXPECT_EQ(instants, sim.refits());
-#endif
 }
 
 // --- deferred insertion and cold anchors -------------------------------

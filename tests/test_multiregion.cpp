@@ -17,7 +17,6 @@
 #include "cloud/traffic.hpp"
 #include "cloud/wan.hpp"
 #include "des/simulator.hpp"
-#include "obs/enabled.hpp"
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "golden_digest.hpp"
@@ -414,7 +413,6 @@ TEST(RoutePolicy, NamesAreDistinct) {
 
 // ------------------------------------------------------------ simulation
 
-#if ARCH21_OBS_ENABLED
 // The engine publishes its kernel's des.* counters, so the per-layer
 // event counts of region scenarios are not blank.
 TEST(MultiRegion, PublishesKernelCounters) {
@@ -433,7 +431,6 @@ TEST(MultiRegion, PublishesKernelCounters) {
   EXPECT_GT(executed, r.requests);
   EXPECT_LE(moves, executed);
 }
-#endif
 
 TEST(MultiRegion, ConservesRequestsAndWindows) {
   const MultiRegionConfig cfg = small_config();

@@ -254,8 +254,6 @@ TEST(Trace, ChromeJsonIsWellFormed) {
 
 // ------------------------------------------- simulation integration
 
-#if ARCH21_OBS_ENABLED
-
 cloud::ClusterConfig traced_cluster_config() {
   cloud::ClusterConfig cfg;
   cfg.leaves = 4;
@@ -390,8 +388,6 @@ TEST(TraceIntegration, MultiTrialRunsRejectATraceSink) {
   cfg.trace = &trace;
   EXPECT_THROW(cloud::run_cluster_trials(cfg, 2), std::invalid_argument);
 }
-
-#endif  // ARCH21_OBS_ENABLED
 
 TEST(PoolStats, CountsSubmissionsExecutionsAndSteals) {
   ThreadPool pool(3);

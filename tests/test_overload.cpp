@@ -596,6 +596,57 @@ TEST(GoodputHysteresis, WindowedPrePostMeans) {
   EXPECT_DOUBLE_EQ(h4.recovery_ratio(), 0.0);
 }
 
+TEST(GrayContainment, WindowedPreDuringPostMeans) {
+  ClusterConfig cfg;
+  cfg.goodput_window_s = 1.0;
+  cfg.duration_s = 10;
+  cfg.gray.burst_leaves = 2;
+  cfg.gray.burst_start_s = 3;
+  cfg.gray.burst_duration_s = 3;
+
+  ClusterResult r;
+  r.trials = 1;
+  // Window 0 is warmup; 1-2 pre; 3 onset settle; 4-5 during; 6 settle;
+  // 7-9 post.
+  r.answered_per_window = {99, 10, 10, 0, 6, 6, 0, 4, 4, 4};
+  const auto c = cloud::gray_containment(r, cfg, 1.0);
+  EXPECT_DOUBLE_EQ(c.pre_qps, 10.0);
+  EXPECT_DOUBLE_EQ(c.during_qps, 6.0);
+  EXPECT_DOUBLE_EQ(c.post_qps, 4.0);
+  EXPECT_DOUBLE_EQ(c.containment_ratio(), 0.6);
+  EXPECT_DOUBLE_EQ(c.recovery_ratio(), 0.4);
+
+  // Missing trailing windows are zeros, inside the burst and after it.
+  r.answered_per_window = {99, 10, 10, 0, 6};
+  const auto c2 = cloud::gray_containment(r, cfg, 1.0);
+  EXPECT_DOUBLE_EQ(c2.pre_qps, 10.0);
+  EXPECT_DOUBLE_EQ(c2.during_qps, 3.0);
+  EXPECT_DOUBLE_EQ(c2.post_qps, 0.0);
+
+  // Two trials normalize per trial.
+  r.trials = 2;
+  r.answered_per_window = {0, 20, 20, 0, 12, 12, 0, 8, 8, 8};
+  const auto c3 = cloud::gray_containment(r, cfg, 1.0);
+  EXPECT_DOUBLE_EQ(c3.pre_qps, 10.0);
+  EXPECT_DOUBLE_EQ(c3.during_qps, 6.0);
+  EXPECT_DOUBLE_EQ(c3.post_qps, 4.0);
+
+  // No gray burst or no windows -> zeros.
+  ClusterConfig off = cfg;
+  off.gray.burst_leaves = 0;
+  const auto c4 = cloud::gray_containment(r, off, 1.0);
+  EXPECT_DOUBLE_EQ(c4.pre_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c4.during_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c4.post_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c4.containment_ratio(), 0.0);
+  ClusterConfig windowless = cfg;
+  windowless.goodput_window_s = 0;
+  const auto c5 = cloud::gray_containment(r, windowless, 1.0);
+  EXPECT_DOUBLE_EQ(c5.pre_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c5.during_qps, 0.0);
+  EXPECT_DOUBLE_EQ(c5.post_qps, 0.0);
+}
+
 // ------------------------------------------------- cluster integration
 
 ClusterConfig overload_cluster() {
@@ -770,7 +821,6 @@ TEST(ClusterOverload, ScenarioLadderShape) {
   }
 }
 
-#if ARCH21_OBS_ENABLED
 TEST(ClusterOverload, ObservabilityDoesNotPerturbOverloadTelemetry) {
   auto cfg = overload_cluster();
   cfg.duration_s = 3;
@@ -801,7 +851,6 @@ TEST(ClusterOverload, ObservabilityDoesNotPerturbOverloadTelemetry) {
   EXPECT_EQ(plain.answered_per_window, traced.answered_per_window);
   EXPECT_DOUBLE_EQ(plain.sum_result_quality, traced.sum_result_quality);
 }
-#endif  // ARCH21_OBS_ENABLED
 
 }  // namespace
 }  // namespace arch21

@@ -33,14 +33,10 @@
 #include "des/reference_heap.hpp"
 #include "des/simulator.hpp"
 #include "des/workload.hpp"
-#include "obs/enabled.hpp"
-#include "util/thread_pool.hpp"
-#include "golden_digest.hpp"
-
-#if ARCH21_OBS_ENABLED
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#endif
+#include "util/thread_pool.hpp"
+#include "golden_digest.hpp"
 
 namespace {
 
@@ -385,41 +381,6 @@ TEST(PdesEngine, TeamIsCappedByPoolLpsAndCores) {
 
 // ------------------------------------------------------ cluster scenario
 
-void expect_same_result(const cloud::ClusterResult& a,
-                        const cloud::ClusterResult& b, const char* what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(a.queries, b.queries);
-  EXPECT_EQ(a.ok_queries, b.ok_queries);
-  EXPECT_EQ(a.degraded_queries, b.degraded_queries);
-  EXPECT_EQ(a.failed_queries, b.failed_queries);
-  EXPECT_EQ(a.query_ms, b.query_ms);  // bit-level: counts AND FP sums
-  EXPECT_EQ(a.leaf_ms, b.leaf_ms);
-  EXPECT_EQ(a.mean_leaf_utilization, b.mean_leaf_utilization);
-  EXPECT_EQ(a.hedge_fraction, b.hedge_fraction);
-  EXPECT_EQ(a.leaf_requests, b.leaf_requests);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.hedges, b.hedges);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.lost_requests, b.lost_requests);
-  EXPECT_EQ(a.budget_denials, b.budget_denials);
-  EXPECT_EQ(a.leaf_failures, b.leaf_failures);
-  EXPECT_EQ(a.domain_failures, b.domain_failures);
-  EXPECT_EQ(a.shed_queries, b.shed_queries);
-  EXPECT_EQ(a.rejected_requests, b.rejected_requests);
-  EXPECT_EQ(a.expired_drops, b.expired_drops);
-  EXPECT_EQ(a.breaker_open_transitions, b.breaker_open_transitions);
-  EXPECT_EQ(a.breaker_short_circuits, b.breaker_short_circuits);
-  EXPECT_EQ(a.breaker_probes, b.breaker_probes);
-  EXPECT_EQ(a.breaker_open_ms, b.breaker_open_ms);
-  EXPECT_EQ(a.answered_per_window, b.answered_per_window);
-  EXPECT_EQ(a.retry_amplification, b.retry_amplification);
-  EXPECT_EQ(a.goodput_qps, b.goodput_qps);
-  EXPECT_EQ(a.availability_measured, b.availability_measured);
-  EXPECT_EQ(a.availability_predicted, b.availability_predicted);
-  EXPECT_EQ(a.sum_result_quality, b.sum_result_quality);
-  EXPECT_EQ(a.frac_over_leaf_p99, b.frac_over_leaf_p99);
-}
-
 cloud::ClusterConfig small_pdes_config(std::uint64_t seed) {
   cloud::ClusterConfig cfg;
   cfg.leaves = 12;
@@ -473,7 +434,7 @@ TEST(ClusterPdes, BitIdenticalAcrossWorkerCounts) {
     for (const unsigned workers : kWorkerCounts) {
       cfg.workers = workers;
       const cloud::ClusterResult got = cloud::simulate_cluster(cfg);
-      expect_same_result(got, want, "small config");
+      EXPECT_TRUE(got == want) << "seed " << seed << ", workers " << workers;
     }
   }
 }
@@ -486,7 +447,7 @@ TEST(ClusterPdes, BitIdenticalWithFullPolicyAndFaultStack) {
   for (const unsigned workers : kWorkerCounts) {
     cfg.workers = workers;
     const cloud::ClusterResult got = cloud::simulate_cluster(cfg);
-    expect_same_result(got, want, "policy+fault stack");
+    EXPECT_TRUE(got == want) << "workers " << workers;
   }
 }
 
@@ -517,8 +478,7 @@ TEST(ClusterPdes, SameInstantRepliesKeepLoopbackIdentical) {
   EXPECT_GT(want.rejected_requests, 0u);
   for (const unsigned workers : {1u, 4u}) {
     cfg.workers = workers;
-    expect_same_result(cloud::simulate_cluster(cfg), want,
-                       "same-instant replies");
+    EXPECT_TRUE(cloud::simulate_cluster(cfg) == want) << "workers " << workers;
   }
 }
 
@@ -564,7 +524,6 @@ TEST(GoldenDigest, StackedPdesWithGrayDetection) {
   }
 }
 
-#if ARCH21_OBS_ENABLED
 // The same pin with a trace ring attached and the metrics registry on, on
 // the engines one ring may trace (the serial loopback reference and the
 // parallel engine at one worker): observability stays read-only on the
@@ -589,7 +548,6 @@ TEST(GoldenDigest, StackedPdesWithGrayDetectionTracedAndMetered) {
   }
   m.reset();
 }
-#endif  // ARCH21_OBS_ENABLED
 
 // A guard table over generated configs (golden::generated_cluster_config):
 // twelve at zero latency, four of them power-capped (one per policy) and

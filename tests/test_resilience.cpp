@@ -345,7 +345,6 @@ TEST(ClusterTrials, BitIdenticalAcrossPoolSizes) {
   }
 }
 
-#if ARCH21_OBS_ENABLED
 // PR4 contract: observability is read-only.  Enabling the global metrics
 // registry (and, for a single trial, attaching a trace) must leave every
 // aggregate byte-identical to the uninstrumented run, at every pool size.
@@ -410,7 +409,6 @@ TEST(ClusterTrials, TracedSingleTrialMatchesUntraced) {
                    traced.query_ms.quantile(0.99));
   EXPECT_DOUBLE_EQ(plain.sum_result_quality, traced.sum_result_quality);
 }
-#endif  // ARCH21_OBS_ENABLED
 
 TEST(ClusterTrials, AggregatesAndValidates) {
   ClusterConfig cfg;
@@ -445,7 +443,6 @@ TEST(GoldenDigest, SerialFullStack) {
   EXPECT_EQ(golden::digest(r), 0x5a9bccb158d1b654ULL);
 }
 
-#if ARCH21_OBS_ENABLED
 // The same run with a trace ring attached and the metrics registry on:
 // results keep the untraced pin, and the published cluster.* / des.* /
 // slab.* metrics and the trace record count are pinned too, so moving
@@ -490,7 +487,6 @@ TEST(GoldenDigest, SerialFullStackTracedAndMetered) {
   EXPECT_EQ(g.value(), 0xe7f300da121d3b3eULL);
   m.reset();
 }
-#endif  // ARCH21_OBS_ENABLED
 
 }  // namespace
 }  // namespace arch21
